@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ..gcpause import gc_paused
 from ..roadnet.network import RoadNetwork
 from .fragmentation import fragment_all
 from .model import TFragment, Trajectory
@@ -90,6 +91,7 @@ def group_fragments(fragments: Iterable[TFragment]) -> list[BaseCluster]:
     return sorted(by_sid.values(), key=lambda s: (-s.density, s.sid))
 
 
+@gc_paused
 def form_base_clusters(
     network: RoadNetwork,
     trajectories: Sequence[Trajectory],
@@ -110,6 +112,9 @@ def form_base_clusters(
             output is identical to a serial run.
 
     Returns the density-descending base cluster list (head = dense-core).
+    Runs with the cyclic GC paused (:mod:`repro.gcpause`): fragmentation
+    allocates two location samples per junction crossing, and a pooled
+    run unpickles every chunk's fragments in this process.
     """
     fragments = fragment_all(
         network, trajectories, keep_interior_points, workers=workers

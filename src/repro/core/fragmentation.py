@@ -16,6 +16,7 @@ from functools import partial
 from typing import Iterable
 
 from ..errors import UnknownSegmentError
+from ..gcpause import gc_paused
 from ..mapmatch.path_inference import infer_crossings
 from ..parallel import map_chunked, network_resource
 from ..roadnet.network import RoadNetwork
@@ -106,6 +107,7 @@ def _make_fragment(
 MIN_TRAJECTORIES_PER_WORKER = 16
 
 
+@gc_paused
 def _fragment_chunk(
     keep_interior_points: bool,
     network: RoadNetwork,

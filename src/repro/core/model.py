@@ -28,7 +28,9 @@ class Location(NamedTuple):
     every inserted junction point), and tuple construction is ~3x cheaper
     than a frozen dataclass ``__init__`` — which is what the distributed
     tier's wire decoder and Phase 1 fragmentation spend their time on.
-    The type stays immutable and field-addressed either way.
+    The type stays immutable and field-addressed either way.  The field
+    order is the row order of the clustering document
+    (:mod:`repro.core.serialize` builds rows with ``list(location)``).
 
     Attributes:
         sid: Identifier of the road segment the sample lies on.

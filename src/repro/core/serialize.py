@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Any
 
 from ..errors import ClusteringError, CorruptSnapshot, RoadNetworkError
+from ..gcpause import gc_paused
 from ..roadnet.network import RoadNetwork
 from .base_cluster import BaseCluster
 from .flow_cluster import FlowCluster
@@ -48,11 +49,11 @@ def _fragment_to_list(
     cache: dict[int, tuple[Any, Any]] | None = None,
 ) -> dict[str, Any]:
     if cache is None:
+        # Location's field order is the schema's row order, so the rows
+        # are built at C speed, one exact list per sample.
         return {
             "trid": fragment.trid,
-            "locations": [
-                [l.sid, l.x, l.y, l.t, l.node_id] for l in fragment.locations
-            ],
+            "locations": list(map(list, fragment.locations)),
         }
     hit = cache.get(id(fragment))
     if hit is not None:
@@ -64,9 +65,7 @@ def _fragment_to_list(
     # where an equivalent list-of-lists cache would be rescanned forever.
     document = {
         "trid": fragment.trid,
-        "locations": tuple(
-            (l.sid, l.x, l.y, l.t, l.node_id) for l in fragment.locations
-        ),
+        "locations": tuple(map(tuple, fragment.locations)),
     }
     # The fragment itself is kept in the entry so its id() can never
     # be recycled onto a different object while the cache is alive.
@@ -120,6 +119,7 @@ def _fragment_from_dict(data: dict[str, Any]) -> TFragment:
     return TFragment(int(data["trid"]), locations[0].sid, locations)
 
 
+@gc_paused
 def result_to_dict(
     result: NEATResult,
     network_name: str = "",
@@ -137,6 +137,9 @@ def result_to_dict(
         fragment_cache: Optional memo reused across calls — t-fragments
             are immutable, so repeated snapshots of a growing state
             (per-batch checkpoints) skip re-serializing old fragments.
+
+    Runs with the cyclic GC paused (:mod:`repro.gcpause`): the document
+    holds one row per location sample and references downwards only.
     """
     flow_index = {id(flow): i for i, flow in enumerate(result.flows)}
     base_index = {id(c): i for i, c in enumerate(result.base_clusters)}
@@ -179,6 +182,7 @@ def _flow_to_dict(flow: FlowCluster, base_index: dict[int, int]) -> dict:
     }
 
 
+@gc_paused
 def result_from_dict(data: dict[str, Any], network: RoadNetwork) -> NEATResult:
     """Rebuild a NEAT result against its road network.
 

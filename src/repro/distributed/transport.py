@@ -74,8 +74,6 @@ import tempfile
 import threading
 import time
 import zlib
-import contextlib
-import gc
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -84,7 +82,8 @@ from typing import Any, Iterable, Sequence
 
 from ..core.base_cluster import BaseCluster, form_base_clusters
 from ..core.model import Location, TFragment, Trajectory
-from ..errors import HandshakeFailed, NodeDown, TransportError
+from ..errors import HandshakeFailed, MalformedPayload, NodeDown, TransportError
+from ..gcpause import gc_paused
 from ..obs import get_logger
 from ..resilience import FaultInjector
 from ..roadnet.network import RoadNetwork
@@ -236,11 +235,38 @@ def _pack_array(values: array, byteswap: bool = sys.byteorder == "big") -> str:
     return base64.b64encode(values.tobytes()).decode("ascii")
 
 
-def _unpack_array(typecode: str, data: str) -> array:
+def _unpack_array(payload: dict[str, Any], name: str, typecode: str) -> array:
+    """Column ``name`` of a packed payload, back to a typed array.
+
+    Raises:
+        MalformedPayload: The column is not base64, or its bytes are not
+            a whole number of items.
+    """
     values = array(typecode)
-    values.frombytes(base64.b64decode(data.encode("ascii")))
+    try:
+        values.frombytes(base64.b64decode(payload[name].encode("ascii")))
+    except ValueError as error:  # binascii.Error is a ValueError
+        raise MalformedPayload(f"column {name!r}: {error}") from None
     if sys.byteorder == "big":
         values.byteswap()
+    return values
+
+
+def _sized_column(
+    payload: dict[str, Any], name: str, typecode: str, expected: int
+) -> array:
+    """:func:`_unpack_array`, checked against the length its counts imply.
+
+    The CRC only proves the payload arrived as sent; a column that
+    disagrees with its counts would otherwise be sliced into silently
+    short (or empty) trajectories and fragments.
+    """
+    values = _unpack_array(payload, name, typecode)
+    if len(values) != expected:
+        raise MalformedPayload(
+            f"column {name!r} holds {len(values)} items, "
+            f"its counts say {expected}"
+        )
     return values
 
 
@@ -276,27 +302,6 @@ class _LocationColumns:
             "ys": _pack_array(self.ys),
             "ts": _pack_array(self.ts),
         }
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Cyclic GC paused for a bounded bulk-allocation region.
-
-    Decoding a dataset-sized packed payload allocates hundreds of
-    thousands of small immutable objects in a tight loop; with a large
-    live heap (the road network, the coordinator's own state) the
-    generational collector triggers every ~700 allocations and scans
-    that heap each time — measured at half the decode wall time.  None
-    of the freshly built tuples can be cyclic garbage, so collection is
-    deferred until the region ends.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _node_ids(nodes: array) -> list[int | None]:
@@ -352,20 +357,26 @@ def trajectories_to_packed(
 
 
 def trajectories_from_packed(payload: dict[str, Any]) -> list[Trajectory]:
-    """Trajectories rebuilt from :func:`trajectories_to_packed` output."""
-    trids = _unpack_array("q", payload["trids"])
-    counts = _unpack_array("I", payload["counts"])
-    with _gc_paused():
+    """Trajectories rebuilt from :func:`trajectories_to_packed` output.
+
+    Raises:
+        MalformedPayload: A column disagrees with the per-trajectory
+            counts.
+    """
+    trids = _unpack_array(payload, "trids", "q")
+    counts = _sized_column(payload, "counts", "I", len(trids))
+    total = sum(counts)
+    with gc_paused:
         # One C-speed map over the whole column set, then cheap list
         # slices per trajectory — not a Python loop with per-index
         # array access.
         locations = list(map(
             Location,
-            _unpack_array("q", payload["sids"]),
-            _unpack_array("d", payload["xs"]),
-            _unpack_array("d", payload["ys"]),
-            _unpack_array("d", payload["ts"]),
-            _node_ids(_unpack_array("q", payload["nodes"])),
+            _sized_column(payload, "sids", "q", total),
+            _sized_column(payload, "xs", "d", total),
+            _sized_column(payload, "ys", "d", total),
+            _sized_column(payload, "ts", "d", total),
+            _node_ids(_sized_column(payload, "nodes", "q", total)),
         ))
         trajectories: list[Trajectory] = []
         offset = 0
@@ -432,27 +443,37 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
     by a single ``map`` over the flat columns, and fragments take cheap
     list slices of it (see :func:`_trusted_fragment` for why the
     per-fragment sid scan is skipped).
+
+    Raises:
+        MalformedPayload: A column disagrees with the per-cluster or
+            per-fragment counts, or a fragment holds no locations.
     """
-    cluster_sids = _unpack_array("q", payload["cluster_sids"])
-    fragment_counts = _unpack_array("I", payload["fragment_counts"])
-    fragment_trids = _unpack_array("q", payload["fragment_trids"])
-    location_counts = _unpack_array("I", payload["location_counts"])
-    with _gc_paused():
+    cluster_sids = _unpack_array(payload, "cluster_sids", "q")
+    fragment_counts = _sized_column(
+        payload, "fragment_counts", "I", len(cluster_sids)
+    )
+    fragment_total = sum(fragment_counts)
+    fragment_trids = _sized_column(payload, "fragment_trids", "q", fragment_total)
+    location_counts = _sized_column(
+        payload, "location_counts", "I", fragment_total
+    )
+    if 0 in location_counts:
+        raise MalformedPayload("a fragment holds no locations")
+    total = sum(location_counts)
+    with gc_paused:
         sids: list[int] = []
-        fragment_index = 0
+        start = 0
         for sid, count in zip(cluster_sids, fragment_counts):
-            total = 0
-            for _ in range(count):
-                total += location_counts[fragment_index]
-                fragment_index += 1
-            sids.extend(repeat(sid, total))
+            end = start + count
+            sids.extend(repeat(sid, sum(location_counts[start:end])))
+            start = end
         locations = list(map(
             Location,
             sids,
-            _unpack_array("d", payload["xs"]),
-            _unpack_array("d", payload["ys"]),
-            _unpack_array("d", payload["ts"]),
-            _node_ids(_unpack_array("q", payload["nodes"])),
+            _sized_column(payload, "xs", "d", total),
+            _sized_column(payload, "ys", "d", total),
+            _sized_column(payload, "ts", "d", total),
+            _node_ids(_sized_column(payload, "nodes", "q", total)),
         ))
         clusters: list[BaseCluster] = []
         fragment_index = 0
@@ -470,6 +491,8 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
                 fragment_index += 1
             clusters.append(BaseCluster(sid, fragments))
     return clusters
+
+
 def trajectories_to_wire(
     trajectories: Iterable[Trajectory],
 ) -> list[dict[str, Any]]:

@@ -152,6 +152,19 @@ class HandshakeFailed(TransportError):
         super().__init__(address, "handshake", detail)
 
 
+class MalformedPayload(TransportError):
+    """A packed wire payload whose columns disagree with its counts.
+
+    The frame passed its CRC, so the bytes arrived as they were sent,
+    but the columnar payload inside is inconsistent (a column shorter
+    than its counts say, or not a whole number of items).  Decoding it
+    anyway would build silently wrong trajectories or clusters.
+    """
+
+    def __init__(self, detail: str) -> None:
+        super().__init__("packed payload", "protocol", detail)
+
+
 class QuorumLost(ResilienceError):
     """Too few shards survived for the coordinator's configured quorum."""
 

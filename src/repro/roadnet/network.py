@@ -226,14 +226,18 @@ class RoadNetwork:
         """``I(e_i, e_j)``: the junction shared by two segments, else ``None``.
 
         When two segments share both endpoints (parallel roads), the lower
-        node id is returned for determinism.
+        node id is returned for determinism.  Allocation-free: Phase 1
+        calls this once per pair of consecutive samples on different
+        segments.
         """
         seg_a = self.segment(sid_a)
         seg_b = self.segment(sid_b)
-        shared = sorted(
-            set(seg_a.endpoints) & set(seg_b.endpoints)
-        )
-        return shared[0] if shared else None
+        u, v = seg_a.node_u, seg_a.node_v
+        u_shared = u == seg_b.node_u or u == seg_b.node_v
+        v_shared = v == seg_b.node_u or v == seg_b.node_v
+        if u_shared:
+            return v if v_shared and v < u else u
+        return v if v_shared else None
 
     def are_adjacent(self, sid_a: int, sid_b: int) -> bool:
         """Whether two distinct segments share a junction."""

@@ -17,6 +17,8 @@ from repro.core.flow_formation import form_flow_clusters
 from repro.core.fragmentation import fragment_all
 from repro.mobisim.simulator import SimulationConfig, simulate_dataset
 from repro.roadnet.generators import GridConfig, generate_grid_network
+from repro.roadnet.geometry import Point
+from repro.roadnet.network import RoadNetwork
 from repro.roadnet.shortest_path import ShortestPathEngine, dijkstra_distance
 
 grid_configs = st.builds(
@@ -71,6 +73,59 @@ class TestNetworkProperties:
         assert engine.distance(a, c) <= (
             engine.distance(a, b) + engine.distance(b, c) + 1e-6
         )
+
+
+def common_junction_reference(network: RoadNetwork, sid_a: int, sid_b: int):
+    """``I(e_i, e_j)`` by set intersection: the reference for the
+    allocation-free :meth:`RoadNetwork.common_junction`."""
+    shared = sorted(
+        set(network.segment(sid_a).endpoints)
+        & set(network.segment(sid_b).endpoints)
+    )
+    return shared[0] if shared else None
+
+
+@st.composite
+def multigraphs(draw):
+    """Small networks whose random edges include parallel segments."""
+    network = RoadNetwork()
+    nodes = [
+        network.add_junction(Point(100.0 * i, 37.0 * (i % 3)))
+        for i in range(draw(st.integers(min_value=2, max_value=6)))
+    ]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda edge: edge[0] != edge[1]
+        ),
+        min_size=1, max_size=12,
+    ))
+    for u, v in edges:
+        network.add_segment(u, v, length=250.0)
+    return network
+
+
+class TestCommonJunction:
+    @given(multigraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_set_reference_on_every_pair(self, network):
+        sids = [segment.sid for segment in network.segments()]
+        for a in sids:
+            for b in sids:
+                assert network.common_junction(a, b) == (
+                    common_junction_reference(network, a, b)
+                )
+
+    @given(st.booleans(), st.booleans())
+    def test_parallel_edges_give_the_lower_node(self, flip_a, flip_b):
+        network = RoadNetwork()
+        low = network.add_junction(Point(0, 0))
+        high = network.add_junction(Point(100, 0))
+        s1 = network.add_segment(*((high, low) if flip_a else (low, high)))
+        s2 = network.add_segment(
+            *((high, low) if flip_b else (low, high)), length=150.0
+        )
+        assert network.common_junction(s1, s2) == low
+        assert common_junction_reference(network, s1, s2) == low
 
 
 class TestPhaseInvariants:

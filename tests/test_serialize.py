@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import marshal
+
 import pytest
 
 from repro.core.config import NEATConfig
 from repro.core.flow_cluster import FlowCluster
+from repro.core.model import Location
 from repro.core.pipeline import NEAT
 from repro.core.serialize import (
     load_result,
@@ -66,6 +69,89 @@ class TestRoundTrip:
         save_result(result, path, network_name=network.name)
         restored = load_result(path, network)
         assert len(restored.flows) == len(result.flows)
+
+
+def _reference_document(result, network_name: str = "", row=list) -> dict:
+    """The clustering document built attribute by attribute.
+
+    ``row`` is ``list`` for a plain build and ``tuple`` for the rows a
+    fragment cache holds.
+    """
+    flow_index = {id(flow): i for i, flow in enumerate(result.flows)}
+    base_index = {id(c): i for i, c in enumerate(result.base_clusters)}
+
+    def flow_entry(flow):
+        return {
+            "members": [base_index[id(member)] for member in flow.members],
+            "member_sids": list(flow.sids),
+        }
+
+    def fragment_entry(fragment):
+        rows = [
+            row((l.sid, l.x, l.y, l.t, l.node_id)) for l in fragment.locations
+        ]
+        return {"trid": fragment.trid, "locations": row(rows)}
+
+    return {
+        "format": "repro-clustering",
+        "version": 1,
+        "mode": result.mode,
+        "min_card_used": result.min_card_used,
+        "network_name": network_name,
+        "stale": False,
+        "dropped_shards": list(result.dropped_shards),
+        "base_clusters": [
+            {
+                "sid": cluster.sid,
+                "fragments": [fragment_entry(f) for f in cluster.fragments],
+            }
+            for cluster in result.base_clusters
+        ],
+        "flows": [flow_entry(flow) for flow in result.flows],
+        "noise_flows": [flow_entry(flow) for flow in result.noise_flows],
+        "clusters": [
+            {
+                "cluster_id": cluster.cluster_id,
+                "flow_indices": [flow_index[id(f)] for f in cluster.flows],
+            }
+            for cluster in result.clusters
+        ],
+    }
+
+
+class TestDocumentBytes:
+    """The document is byte-identical to an attribute-by-attribute build."""
+
+    def test_location_field_order_is_the_row_order(self):
+        assert Location._fields == ("sid", "x", "y", "t", "node_id")
+
+    def test_rows_hold_junction_and_gps_samples(self, run):
+        _, result = run
+        node_ids = {
+            type(row[4])
+            for cluster in result_to_dict(result)["base_clusters"]
+            for fragment in cluster["fragments"]
+            for row in fragment["locations"]
+        }
+        assert node_ids == {int, type(None)}
+
+    def test_marshal_identical_to_reference(self, run):
+        network, result = run
+        document = result_to_dict(result, network_name=network.name)
+        reference = _reference_document(result, network.name)
+        assert marshal.dumps(document, 2) == marshal.dumps(reference, 2)
+
+    def test_cached_build_marshal_identical_to_reference(self, run):
+        network, result = run
+        cache: dict = {}
+        reference = marshal.dumps(
+            _reference_document(result, network.name, row=tuple), 2
+        )
+        for _ in range(2):  # cold, then every fragment a cache hit
+            document = result_to_dict(
+                result, network_name=network.name, fragment_cache=cache
+            )
+            assert marshal.dumps(document, 2) == reference
 
 
 class TestValidation:

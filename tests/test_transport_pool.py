@@ -14,9 +14,11 @@ coordinator run, and the spawn rendezvous timeout error.
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 import time
+from array import array
 
 import pytest
 
@@ -40,7 +42,7 @@ from repro.distributed.transport import (
     trajectories_from_packed,
     trajectories_to_packed,
 )
-from repro.errors import TransportError
+from repro.errors import MalformedPayload, TransportError
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultPlan
 from repro.roadnet.io import save_network
@@ -350,6 +352,106 @@ class TestPackedSchema:
             for fragment in cluster.fragments
             for location in fragment.locations
         )
+
+    @staticmethod
+    def _packed(line3):
+        trajectories = [
+            trajectory_through(line3, trid, [0, 1, 2]) for trid in range(5)
+        ]
+        return (
+            trajectories_to_packed(trajectories),
+            clusters_to_packed(form_base_clusters(line3, trajectories)),
+        )
+
+    #: Item type of every packed column, both schemas.
+    TYPECODES = {
+        "trids": "q", "counts": "I", "sids": "q", "nodes": "q",
+        "xs": "d", "ys": "d", "ts": "d", "cluster_sids": "q",
+        "fragment_counts": "I", "fragment_trids": "q", "location_counts": "I",
+    }
+
+    @classmethod
+    def _shorten(cls, payload, column):
+        """``payload`` with the last item cut off ``column``."""
+        values = array(cls.TYPECODES[column])
+        values.frombytes(base64.b64decode(payload[column]))
+        return {
+            **payload,
+            column: base64.b64encode(values[:-1].tobytes()).decode("ascii"),
+        }
+
+    @pytest.mark.parametrize("column", ["sids", "xs", "ys", "ts", "nodes"])
+    def test_short_trajectory_column_is_typed(self, line3, column):
+        trajectories, _ = self._packed(line3)
+        with pytest.raises(MalformedPayload, match=column):
+            trajectories_from_packed(self._shorten(trajectories, column))
+
+    @pytest.mark.parametrize("column", ["trids", "counts"])
+    def test_counts_disagreeing_with_trids_is_typed(self, line3, column):
+        trajectories, _ = self._packed(line3)
+        with pytest.raises(MalformedPayload, match="counts"):
+            trajectories_from_packed(self._shorten(trajectories, column))
+
+    @pytest.mark.parametrize(
+        "column",
+        ["xs", "ys", "ts", "nodes", "fragment_trids", "location_counts",
+         "fragment_counts", "cluster_sids"],
+    )
+    def test_short_cluster_column_is_typed(self, line3, column):
+        _, clusters = self._packed(line3)
+        with pytest.raises(MalformedPayload):
+            clusters_from_packed(self._shorten(clusters, column))
+
+    def test_all_coordinates_missing_is_typed_not_empty(self, line3):
+        # Every coordinate column emptied: before the length checks this
+        # decoded into fragments with zero locations.
+        _, clusters = self._packed(line3)
+        empty = base64.b64encode(b"").decode("ascii")
+        hollow = {**clusters, "xs": empty, "ys": empty, "ts": empty, "nodes": empty}
+        with pytest.raises(MalformedPayload, match="'xs'"):
+            clusters_from_packed(hollow)
+
+    def test_empty_fragment_is_typed(self, line3):
+        _, clusters = self._packed(line3)
+        counts = array("I")
+        counts.frombytes(base64.b64decode(clusters["location_counts"]))
+        counts[1] += counts[0]
+        counts[0] = 0
+        moved = {
+            **clusters,
+            "location_counts": base64.b64encode(counts.tobytes()).decode("ascii"),
+        }
+        with pytest.raises(MalformedPayload, match="no locations"):
+            clusters_from_packed(moved)
+
+    @pytest.mark.parametrize("decoder", ["trajectories", "clusters"])
+    def test_partial_item_is_typed(self, line3, decoder):
+        trajectories, clusters = self._packed(line3)
+        payload = trajectories if decoder == "trajectories" else clusters
+        raw = base64.b64decode(payload["xs"])
+        torn = {**payload, "xs": base64.b64encode(raw[:-3]).decode("ascii")}
+        decode = (
+            trajectories_from_packed if decoder == "trajectories"
+            else clusters_from_packed
+        )
+        with pytest.raises(MalformedPayload, match="'xs'") as excinfo:
+            decode(torn)
+        assert isinstance(excinfo.value, TransportError)
+        assert excinfo.value.kind == "protocol"
+
+    def test_malformed_request_is_a_protocol_error_reply(self, line3, shard):
+        trajectories, _ = self._packed(line3)
+        client = TransportClient(shard.host, shard.port)
+        try:
+            with pytest.raises(TransportError) as excinfo:
+                client.call(
+                    "preprocess",
+                    {"trajectories_packed": self._shorten(trajectories, "xs")},
+                )
+        finally:
+            client.close()
+        assert excinfo.value.kind == "protocol"
+        assert "MalformedPayload" in str(excinfo.value)
 
     def test_preprocess_packed_matches_local(self, line3, shard):
         trajectories = [
