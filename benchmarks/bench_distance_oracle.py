@@ -3,8 +3,10 @@
 One measurement, one artifact (``output/BENCH_distance_oracle.json``):
 the same paper-scale Phase 3 workload is clustered three times —
 
-* ``pairwise`` — the legacy oracle: one (bidirectional) Dijkstra per
-  surviving endpoint pair, answered lazily during DBSCAN region queries.
+* ``pairwise`` — the per-pair reference: the ``tiered`` config with
+  :meth:`ShortestPathEngine.prefetch_grouped` patched out, so every
+  surviving endpoint pair gets its own (bidirectional) Dijkstra,
+  answered lazily during DBSCAN region queries.
 * ``tiered`` — the default oracle: surviving endpoint pairs are grouped
   by shared endpoint and answered by eps-bounded multi-target searches
   (one Dijkstra per *group*, early-exiting once its targets settle).
@@ -30,6 +32,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 ARTIFACT = OUTPUT_DIR / "BENCH_distance_oracle.json"
@@ -46,6 +49,7 @@ from repro.experiments.workloads import (  # noqa: E402
     build_dataset,
     build_network,
 )
+from repro.roadnet.shortest_path import ShortestPathEngine  # noqa: E402
 
 
 def _object_count() -> int:
@@ -106,14 +110,17 @@ def run_oracle_comparison(
     eps = 2.0 * DEFAULT_EPS.get(region, 800.0)
 
     variants = {
-        "pairwise": NEATConfig(eps=eps, min_card=0, sp_oracle="pairwise"),
-        "tiered": NEATConfig(eps=eps, min_card=0, sp_oracle="tiered"),
-        "tiered_llb": NEATConfig(
-            eps=eps, min_card=0, sp_oracle="tiered", use_llb=True
-        ),
+        "tiered": NEATConfig(eps=eps, min_card=0),
+        "tiered_llb": NEATConfig(eps=eps, min_card=0, use_llb=True),
     }
-    rows = {name: _run_variant(network, dataset, config)
-            for name, config in variants.items()}
+    # The per-pair reference arm: with the grouped prefetch skipped, each
+    # region query runs its own bounded point search.
+    with mock.patch.object(
+        ShortestPathEngine, "prefetch_grouped", lambda self, *a, **k: 0
+    ):
+        rows = {"pairwise": _run_variant(network, dataset, variants["tiered"])}
+    rows.update((name, _run_variant(network, dataset, config))
+                for name, config in variants.items())
 
     # Correctness gate: the oracle tiers are pure accelerations — every
     # variant must emit the byte-identical clustering document.

@@ -65,10 +65,10 @@ def bench_fig7_pruning_tiers(emit):
     """ELB-only vs ELB+LLB pruning rates on the paper-scale workload.
 
     Extends the Figure 7 discussion with the landmark lower-bound tier:
-    the same Phase 3 workload runs through the pairwise, tiered and
-    tiered+LLB oracles, and the ``BENCH_distance_oracle.json`` artifact
-    records the executed-search/settled-node reductions alongside both
-    pruning rates.  Pruning must never change the clustering.
+    the same Phase 3 workload runs through the per-pair reference, the
+    tiered oracle and tiered+LLB, and the ``BENCH_distance_oracle.json``
+    artifact records the executed-search/settled-node reductions
+    alongside both pruning rates.  Pruning must never change the clustering.
     """
     from bench_distance_oracle import (
         ARTIFACT,

@@ -102,15 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for Phase 1/Phase 3 "
                               "fan-out (default: one per CPU; 1 = serial; "
                               "results are identical at any setting)")
-    cluster.add_argument("--sp-backend", choices=("dict", "csr"),
-                         default="csr",
-                         help="shortest-path backend: flat-array CSR "
-                              "(default) or the legacy dict adjacency")
-    cluster.add_argument("--sp-oracle", choices=("tiered", "pairwise"),
-                         default="tiered",
-                         help="Phase 3 distance oracle: batched "
-                              "multi-target kernels (default) or the "
-                              "legacy per-pair searches; identical output")
     cluster.add_argument("--vector-backend",
                          choices=("auto", "numpy", "python"),
                          default="auto",
@@ -461,8 +452,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         config = NEATConfig(
             wq=args.wq, wk=args.wk, wv=args.wv,
             eps=args.eps, min_card=args.min_card, use_elb=not args.no_elb,
-            workers=args.workers, sp_backend=args.sp_backend,
-            sp_oracle=args.sp_oracle, use_llb=args.llb,
+            workers=args.workers, use_llb=args.llb,
             vector_backend=args.vector_backend,
             llb_landmarks=max(1, args.llb_landmarks),
             max_retries=args.max_retries, deadline_s=args.deadline_s,

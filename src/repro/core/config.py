@@ -48,15 +48,12 @@ class NEATConfig:
             ``None`` or ``0`` means one per CPU (``os.cpu_count()``);
             ``1`` (the default) runs serially.  Results are identical at
             any setting — parallelism only changes wall-clock time.
-        sp_backend: Shortest-path backend of the Phase 3 engine:
-            ``"csr"`` (flat-array bidirectional Dijkstra, the default)
-            or ``"dict"`` (legacy adjacency walk).
-        sp_oracle: Phase 3 distance-oracle strategy.  ``"tiered"`` (the
-            default) answers the surviving endpoint pairs with batched
-            multi-target single-source kernels — O(distinct endpoints)
-            searches instead of one per pair; ``"pairwise"`` keeps the
-            legacy per-pair point-to-point searches.  Cluster output and
-            the Figure-7 determinism counters are identical either way.
+        sp_backend: Shortest-path backend of the Phase 3 engine.  Only
+            ``"csr"`` (flat-array Dijkstra) exists; the field stays so
+            committed config documents that pin it still load.
+        sp_oracle: Phase 3 distance-oracle strategy.  Only ``"tiered"``
+            (batched multi-target single-source kernels, one search per
+            distinct endpoint) exists; kept for the same reason.
         use_llb: Apply the landmark (ALT triangle-inequality) lower
             bound as a second prune tier above the ELB in Phase 3.
             Strictly tighter than Euclidean on road graphs; never changes
@@ -144,15 +141,15 @@ class NEATConfig:
             raise ConfigError(
                 f"workers must be >= 0 (0/None = one per CPU), got {self.workers}"
             )
-        if self.sp_backend not in ("dict", "csr"):
-            raise ConfigError(
-                f"sp_backend must be 'dict' or 'csr', got {self.sp_backend!r}"
-            )
-        if self.sp_oracle not in ("tiered", "pairwise"):
-            raise ConfigError(
-                f"sp_oracle must be 'tiered' or 'pairwise', "
-                f"got {self.sp_oracle!r}"
-            )
+        for name, value, only in (
+            ("sp_backend", self.sp_backend, "csr"),
+            ("sp_oracle", self.sp_oracle, "tiered"),
+        ):
+            if value != only:
+                raise ConfigError(
+                    f"{name} must be {only!r} (every other setting was "
+                    f"removed), got {value!r}"
+                )
         if self.vector_backend not in ("auto", "numpy", "python"):
             raise ConfigError(
                 f"vector_backend must be 'auto', 'numpy' or 'python', "

@@ -125,9 +125,7 @@ class NEAT:
             raise ValueError("Phase 3 needs an undirected engine")
         self.engine = (
             engine if engine is not None
-            else ShortestPathEngine(
-                network, directed=False, backend=self.config.sp_backend
-            )
+            else ShortestPathEngine(network, directed=False)
         )
         # None (the default) means "fresh enabled telemetry per run", so
         # every NEATResult carries its own isolated snapshot.  Injecting a

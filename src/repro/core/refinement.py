@@ -242,12 +242,12 @@ def refine_flow_clusters(
     the lower-bound tiers (Euclidean, optionally landmark) already prove
     a pruned pair is far apart, and for the survivors a bounded search
     answering "farther than eps" settles only the eps-ball instead of
-    the whole graph.  With the default tiered oracle
-    (``config.sp_oracle == "tiered"``) the surviving endpoint pairs are
-    answered by batched multi-target single-source kernels — one search
-    per distinct endpoint instead of one per pair — optionally fanned
-    out across worker processes; cluster output and every determinism
-    counter match the legacy per-pair serial run exactly.
+    the whole graph.  Unless the engine carries an accelerated oracle,
+    the surviving endpoint pairs are answered up front by batched
+    multi-target single-source kernels — one search per distinct
+    endpoint instead of one per pair — optionally fanned out across
+    worker processes; cluster output and every determinism counter are
+    identical at any worker count.
 
     Args:
         network: The road network.
@@ -284,8 +284,6 @@ def refine_flow_clusters(
     eps = config.eps
     sp_before = engine.computations
 
-    from ..parallel import resolve_workers
-
     llb = None
     if config.use_llb and not engine.directed:
         # Landmark tables are engine-memoized per network version; the
@@ -315,27 +313,14 @@ def refine_flow_clusters(
         else None
     )
 
-    if config.sp_oracle == "tiered" and engine.oracle is None:
+    if engine.oracle is None:
         # Tiered oracle: answer every distance the region queries below
         # will need with batched multi-target single-source kernels —
         # O(distinct endpoints) searches instead of one per surviving
-        # pair.  Runs at any worker count (the grouping is deterministic
-        # and backend-independent), so serial and parallel runs execute
-        # the same searches and report identical counters.
+        # pair.  Runs at any worker count (the grouping is
+        # deterministic), so serial and parallel runs execute the same
+        # searches and report identical counters.
         engine.prefetch_grouped(
-            _surviving_endpoint_pairs(
-                network, flow_list, eps, config.use_elb, llb=llb,
-                elb_mask=elb_mask, llb_mask=llb_mask,
-            ),
-            cutoff=eps,
-            workers=workers,
-        )
-    elif resolve_workers(workers) > 1 and engine.oracle is None:
-        # Legacy pairwise oracle: warm the engine per pair, fanned out
-        # across processes.  The engine counts the prefetched searches as
-        # the computations they replace, so Figure-7 accounting stays
-        # exact.
-        engine.prefetch(
             _surviving_endpoint_pairs(
                 network, flow_list, eps, config.use_elb, llb=llb,
                 elb_mask=elb_mask, llb_mask=llb_mask,

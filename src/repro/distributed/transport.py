@@ -24,12 +24,12 @@ identical runs put byte-identical frames on the wire): ``ping``,
 the shard-side half of Phase 3), ``batch`` (several requests in one
 frame), ``stats``, ``reset`` (server closes the connection after
 replying) and ``shutdown``.  Trajectories and base clusters travel
-either in the location-row schema of :mod:`repro.core.serialize` or —
-the hot path — as packed columnar arrays
-(:func:`trajectories_to_packed` / :func:`clusters_to_packed`: flat
-little-endian typed columns, base64-wrapped in the JSON envelope;
-exact, deterministic, and several times cheaper to encode than nested
-number lists).
+only as packed columnar arrays (:func:`trajectories_to_packed` /
+:func:`clusters_to_packed`: flat little-endian typed columns,
+base64-wrapped in the JSON envelope; exact, deterministic, and several
+times cheaper to encode than nested number lists).  A ``preprocess``
+request without its ``trajectories_packed`` payload gets a protocol
+error reply, never an empty result.
 
 **Connections are persistent**: a :class:`TransportClient` keeps its
 socket open across calls behind a small per-node
@@ -96,25 +96,22 @@ __all__ = [
     "ShardProcess",
     "TransportClient",
     "clusters_from_packed",
-    "clusters_from_wire",
     "clusters_to_packed",
-    "clusters_to_wire",
     "decode_frame",
     "encode_frame",
     "spawn_local_shards",
     "stop_shards",
     "trajectories_from_packed",
-    "trajectories_from_wire",
     "trajectories_to_packed",
-    "trajectories_to_wire",
 ]
 
 _log = get_logger("distributed.transport")
 
 #: Wire protocol version; bumped on any frame- or message-schema change.
 #: v2 added ``batch``, ``distances`` and ``reset`` plus persistent
-#: connections (the framing itself is unchanged).
-PROTOCOL_VERSION = 2
+#: connections (the framing itself is unchanged); v3 dropped the row
+#: schema, so ``preprocess`` speaks only the packed columnar payloads.
+PROTOCOL_VERSION = 3
 
 #: Frame header: magic (4) | payload length u32 BE (4) | crc32 u32 BE (4).
 FRAME_MAGIC = b"RPW1"
@@ -219,7 +216,7 @@ def _encode_message(message: dict[str, Any]) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Payload schemas (the location-row format of repro.core.serialize)
+# Payload schemas (packed columnar arrays)
 # ----------------------------------------------------------------------
 def _pack_array(values: array, byteswap: bool = sys.byteorder == "big") -> str:
     """A typed array as base64 of its little-endian bytes.
@@ -239,12 +236,15 @@ def _unpack_array(payload: dict[str, Any], name: str, typecode: str) -> array:
     """Column ``name`` of a packed payload, back to a typed array.
 
     Raises:
-        MalformedPayload: The column is not base64, or its bytes are not
-            a whole number of items.
+        MalformedPayload: The column is missing or not a string, is not
+            base64, or its bytes are not a whole number of items.
     """
+    column = payload.get(name) if isinstance(payload, dict) else None
+    if not isinstance(column, str):
+        raise MalformedPayload(f"column {name!r} is missing or not a string")
     values = array(typecode)
     try:
-        values.frombytes(base64.b64decode(payload[name].encode("ascii")))
+        values.frombytes(base64.b64decode(column.encode("ascii")))
     except ValueError as error:  # binascii.Error is a ValueError
         raise MalformedPayload(f"column {name!r}: {error}") from None
     if sys.byteorder == "big":
@@ -335,12 +335,12 @@ def trajectories_to_packed(
 ) -> dict[str, str]:
     """Trajectories as packed columnar arrays (the hot-path schema).
 
-    The row schema of :func:`trajectories_to_wire` spends most of a
-    dispatch inside ``json.dumps``/``json.loads`` walking nested lists
-    of numbers; at bench scale that serialization alone outweighed the
-    Phase 1 compute being distributed.  This packs the same values into
-    five flat typed columns (sid / node / x / y / t) plus per-trajectory
-    offsets, base64-wrapped into an ordinary JSON envelope — exact,
+    A row schema of nested number lists spends most of a dispatch
+    inside ``json.dumps``/``json.loads``; at bench scale that
+    serialization alone outweighed the Phase 1 compute being
+    distributed.  This packs the values into five flat typed columns
+    (sid / node / x / y / t) plus per-trajectory offsets,
+    base64-wrapped into an ordinary JSON envelope — exact,
     deterministic, and ~6x faster to encode.
     """
     trids = array("q")
@@ -493,78 +493,6 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
     return clusters
 
 
-def trajectories_to_wire(
-    trajectories: Iterable[Trajectory],
-) -> list[dict[str, Any]]:
-    """Trajectories as JSON-compatible rows."""
-    return [
-        {
-            "trid": tr.trid,
-            "locations": [
-                [l.sid, l.x, l.y, l.t, l.node_id] for l in tr.locations
-            ],
-        }
-        for tr in trajectories
-    ]
-
-
-def trajectories_from_wire(rows: Iterable[dict[str, Any]]) -> list[Trajectory]:
-    """Trajectories rebuilt from :func:`trajectories_to_wire` output."""
-    return [
-        Trajectory(
-            int(row["trid"]),
-            tuple(
-                Location(
-                    int(sid), float(x), float(y), float(t),
-                    None if node_id is None else int(node_id),
-                )
-                for sid, x, y, t, node_id in row["locations"]
-            ),
-        )
-        for row in rows
-    ]
-
-
-def clusters_to_wire(clusters: Iterable[BaseCluster]) -> list[dict[str, Any]]:
-    """Base clusters as JSON-compatible rows (serialize schema)."""
-    return [
-        {
-            "sid": cluster.sid,
-            "fragments": [
-                {
-                    "trid": fragment.trid,
-                    "locations": [
-                        [l.sid, l.x, l.y, l.t, l.node_id]
-                        for l in fragment.locations
-                    ],
-                }
-                for fragment in cluster.fragments
-            ],
-        }
-        for cluster in clusters
-    ]
-
-
-def clusters_from_wire(rows: Iterable[dict[str, Any]]) -> list[BaseCluster]:
-    """Base clusters rebuilt from :func:`clusters_to_wire` output."""
-    clusters: list[BaseCluster] = []
-    for row in rows:
-        cluster = BaseCluster(int(row["sid"]))
-        for fragment in row["fragments"]:
-            locations = tuple(
-                Location(
-                    int(sid), float(x), float(y), float(t),
-                    None if node_id is None else int(node_id),
-                )
-                for sid, x, y, t, node_id in fragment["locations"]
-            )
-            cluster.add(
-                TFragment(int(fragment["trid"]), locations[0].sid, locations)
-            )
-        clusters.append(cluster)
-    return clusters
-
-
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
@@ -700,16 +628,17 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 return {"ok": True, "result": {"node_id": shard.node_id}}, "keep"
             if op == "preprocess":
                 payload = message.get("payload") or {}
-                # Hot path: the packed columnar schema.  The row schema
-                # stays accepted (and answered in kind) for hand-rolled
-                # clients and the protocol tests.
-                packed = payload.get("trajectories_packed")
-                if packed is not None:
-                    trajectories = trajectories_from_packed(packed)
-                else:
-                    trajectories = trajectories_from_wire(
-                        payload.get("trajectories", [])
-                    )
+                if "trajectories_packed" not in payload:
+                    # An empty shard still sends empty columns; a missing
+                    # key is a broken client, not zero trajectories.
+                    return {
+                        "ok": False, "kind": "protocol",
+                        "error": "preprocess payload lacks "
+                                 "'trajectories_packed'",
+                    }, "keep"
+                trajectories = trajectories_from_packed(
+                    payload["trajectories_packed"]
+                )
                 clusters = form_base_clusters(
                     shard.network,
                     trajectories,
@@ -719,12 +648,10 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 )
                 shard.preprocess_calls += 1
                 shard.trajectories_processed += len(trajectories)
-                result = (
-                    {"clusters_packed": clusters_to_packed(clusters)}
-                    if packed is not None
-                    else {"clusters": clusters_to_wire(clusters)}
-                )
-                return {"ok": True, "result": result}, "keep"
+                return {
+                    "ok": True,
+                    "result": {"clusters_packed": clusters_to_packed(clusters)},
+                }, "keep"
             if op == "distances":
                 payload = message.get("payload") or {}
                 return {
@@ -1489,8 +1416,15 @@ class RemoteDataNode:
         )
 
     def finish_preprocess(self, pending: _PendingCall) -> list[BaseCluster]:
-        """Collect a started ``preprocess`` call's base clusters."""
+        """Collect a started ``preprocess`` call's base clusters.
+
+        Raises:
+            MalformedPayload: The reply carries no ``clusters_packed``
+                payload (or a malformed one).
+        """
         result = self.client.finish(pending)
+        if not isinstance(result, dict) or "clusters_packed" not in result:
+            raise MalformedPayload("preprocess reply lacks 'clusters_packed'")
         return clusters_from_packed(result["clusters_packed"])
 
     #: Pairs per ``distances`` sub-request inside one batch frame.  Small

@@ -5,10 +5,11 @@ expansion), an A* variant using the Euclidean lower bound as an admissible
 heuristic, and a caching :class:`ShortestPathEngine` that counts expansions
 so the ELB experiments (Figure 7) can report exactly how many shortest-path
 computations a clustering run performed.  The engine answers uncached
-point queries through either this module's dict-of-lists walkers
-(``backend="dict"``) or the flat-array bidirectional Dijkstra of
-:mod:`~repro.roadnet.csr` (``backend="csr"``, the default), and can batch
-uncached searches across worker processes (:meth:`ShortestPathEngine.prefetch`).
+point queries with the flat-array bidirectional Dijkstra of
+:mod:`~repro.roadnet.csr`, and can batch uncached searches across worker
+processes (:meth:`ShortestPathEngine.prefetch`).  The module-level
+dict-of-lists walkers serve the simulator and map matching, and are the
+reference the CSR kernels are tested against.
 
 Directed searches respect one-way segments (used by the trip simulator);
 undirected searches ignore direction (used by Phase 3's network proximity,
@@ -195,7 +196,7 @@ def dijkstra_multi_target(
 ) -> tuple[dict[int, float], int]:
     """One bounded single-source search answering a whole target set.
 
-    Dict-backend twin of
+    Dict-of-lists reference for
     :meth:`~repro.roadnet.csr.CSRGraph.multi_target_distances`: settles
     outward from ``source`` until every requested target is settled or
     the frontier exceeds ``cutoff``.  Distances are plain Dijkstra sums,
@@ -341,10 +342,6 @@ def _recover_route(
     return Route(tuple(nodes), tuple(sids), length)
 
 
-#: Engine search backends: legacy dict-of-lists vs flat-array CSR.
-BACKENDS = ("dict", "csr")
-
-
 @dataclass
 class ShortestPathEngine:
     """A caching, instrumented shortest-path oracle for one network.
@@ -376,12 +373,9 @@ class ShortestPathEngine:
             :class:`~repro.roadnet.landmarks.LandmarkOracle`) — any object
             with a ``distance(source, target) -> float`` method.  Only
             valid for undirected engines; results must equal Dijkstra's.
-        backend: ``"csr"`` (default) answers point queries with
-            bidirectional Dijkstra over the network's flat-array
-            :meth:`~repro.roadnet.network.RoadNetwork.csr` snapshot;
-            ``"dict"`` keeps the legacy adjacency walk.  Both return the
-            same distances (the bidirectional split can differ in the
-            last ulp) and the same ``computations`` counts.
+            Without one, point queries run bidirectional Dijkstra over
+            the network's flat-array
+            :meth:`~repro.roadnet.network.RoadNetwork.csr` snapshot.
         cache_hits: Number of ``distance`` calls answered from the memo
             table (identity queries are not counted).
         nodes_expanded: Total nodes settled across all Dijkstra searches
@@ -398,7 +392,6 @@ class ShortestPathEngine:
     directed: bool = False
     computations: int = 0
     oracle: object | None = None
-    backend: str = "csr"
     cache_hits: int = 0
     nodes_expanded: int = 0
     grouped_searches: int = 0
@@ -427,10 +420,6 @@ class ShortestPathEngine:
     def __post_init__(self) -> None:
         if self.oracle is not None and self.directed:
             raise ValueError("accelerated oracles are undirected-only")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
 
     # ------------------------------------------------------------------
     def _key(self, source: int, target: int) -> tuple[int, int]:
@@ -456,13 +445,9 @@ class ShortestPathEngine:
             self._metric_expanded.inc(expanded)
 
     def _search(self, source: int, target: int, limit: float) -> tuple[float, int]:
-        """One uncached point query via the configured backend."""
-        if self.backend == "csr":
-            graph = self.network.csr(self.directed)
-            return graph.bidirectional_distance_counted(source, target, limit)
-        return dijkstra_distance_counted(
-            self.network, source, target, directed=self.directed, cutoff=limit
-        )
+        """One uncached point query over the CSR snapshot."""
+        graph = self.network.csr(self.directed)
+        return graph.bidirectional_distance_counted(source, target, limit)
 
     def distance(
         self, source: int, target: int, cutoff: float | None = None
@@ -586,7 +571,7 @@ class ShortestPathEngine:
         ``nodes_expanded``), and delivery accounting matches
         :meth:`prefetch`: the next :meth:`distance` call per answered
         pair is the computation's delivery, not a cache hit — so counters
-        are identical at any worker count and across backends.
+        are identical at any worker count.
 
         Returns the number of searches executed.
         """
@@ -652,46 +637,28 @@ class ShortestPathEngine:
     ) -> list[tuple[float, int]]:
         """Run the searches for ``keys``, serially or across processes.
 
-        The parallel CSR path is zero-copy: workers attach the shared
+        The parallel path is zero-copy: workers attach the shared CSR
         snapshot registered with the persistent pool, and the pair list
         is shipped as one flat int64 batch segment with per-task
-        (offset, length) descriptors.  The dict backend broadcasts the
-        network once per pool start instead of pickling it per chunk.
+        (offset, length) descriptors.
         """
         from array import array
         from functools import partial
 
-        from ..parallel import (
-            csr_resource,
-            effective_workers,
-            map_chunked,
-            map_flat,
-            network_resource,
-        )
+        from ..parallel import csr_resource, effective_workers, map_flat
 
         if effective_workers(workers, len(keys), MIN_PAIRS_PER_WORKER) <= 1:
-            if self.backend == "csr":
-                spec: tuple = ("csr", self.network.csr(self.directed))
-            else:
-                spec = ("dict", self.network, self.directed)
-            return _compute_pairs(spec, keys, limit)
-        if self.backend == "csr":
-            flat = array("q", [node for pair in keys for node in pair])
-            return map_flat(
-                partial(_csr_pairs_kernel, limit),
-                "q",
-                flat,
-                range(0, 2 * len(keys) + 1, 2),
-                workers=workers,
-                min_items_per_worker=MIN_PAIRS_PER_WORKER,
-                resource=csr_resource(self.network, self.directed),
-            )
-        return map_chunked(
-            partial(_dict_pairs_chunk, self.directed, limit),
-            keys,
+            graph = self.network.csr(self.directed)
+            return graph.distance_batch(keys, cutoff=limit, bidirectional=True)
+        flat = array("q", [node for pair in keys for node in pair])
+        return map_flat(
+            partial(_csr_pairs_kernel, limit),
+            "q",
+            flat,
+            range(0, 2 * len(keys) + 1, 2),
             workers=workers,
             min_items_per_worker=MIN_PAIRS_PER_WORKER,
-            resource=network_resource(self.network),
+            resource=csr_resource(self.network, self.directed),
         )
 
     def _batch_group_search(
@@ -709,43 +676,29 @@ class ShortestPathEngine:
         from array import array
         from functools import partial
 
-        from ..parallel import (
-            csr_resource,
-            effective_workers,
-            map_chunked,
-            map_flat,
-            network_resource,
-        )
+        from ..parallel import csr_resource, effective_workers, map_flat
 
         if effective_workers(workers, len(groups), MIN_GROUPS_PER_WORKER) <= 1:
-            if self.backend == "csr":
-                spec: tuple = ("csr", self.network.csr(self.directed))
-            else:
-                spec = ("dict", self.network, self.directed)
-            return _compute_groups(spec, groups, limit)
-        if self.backend == "csr":
-            flat = array("q")
-            boundaries = [0]
-            for source, targets in groups:
-                flat.append(source)
-                flat.append(len(targets))
-                flat.extend(targets)
-                boundaries.append(len(flat))
-            return map_flat(
-                partial(_csr_groups_kernel, limit),
-                "q",
-                flat,
-                boundaries,
-                workers=workers,
-                min_items_per_worker=MIN_GROUPS_PER_WORKER,
-                resource=csr_resource(self.network, self.directed),
-            )
-        return map_chunked(
-            partial(_dict_groups_chunk, self.directed, limit),
-            groups,
+            graph = self.network.csr(self.directed)
+            return [
+                graph.multi_target_distances(source, targets, limit)
+                for source, targets in groups
+            ]
+        flat = array("q")
+        boundaries = [0]
+        for source, targets in groups:
+            flat.append(source)
+            flat.append(len(targets))
+            flat.extend(targets)
+            boundaries.append(len(flat))
+        return map_flat(
+            partial(_csr_groups_kernel, limit),
+            "q",
+            flat,
+            boundaries,
             workers=workers,
             min_items_per_worker=MIN_GROUPS_PER_WORKER,
-            resource=network_resource(self.network),
+            resource=csr_resource(self.network, self.directed),
         )
 
     # ------------------------------------------------------------------
@@ -885,49 +838,6 @@ MIN_PAIRS_PER_WORKER = 8
 MIN_GROUPS_PER_WORKER = 4
 
 
-def _compute_pairs(
-    spec: tuple, pairs: list[tuple[int, int]], cutoff: float = INFINITY
-) -> list[tuple[float, int]]:
-    """Worker-side batch: ``(distance, expansions)`` per pair, in order.
-
-    ``spec`` selects the backend payload shipped to the process:
-    ``("csr", CSRGraph)`` or ``("dict", RoadNetwork, directed)``.  Module
-    level so it pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
-    """
-    if spec[0] == "csr":
-        return spec[1].distance_batch(pairs, cutoff=cutoff, bidirectional=True)
-    _kind, network, directed = spec
-    return [
-        dijkstra_distance_counted(network, a, b, directed=directed, cutoff=cutoff)
-        for a, b in pairs
-    ]
-
-
-def _compute_groups(
-    spec: tuple,
-    groups: list[tuple[int, tuple[int, ...]]],
-    cutoff: float = INFINITY,
-) -> list[tuple[dict[int, float], int]]:
-    """Worker-side batch of grouped kernels: ``(found, settled)`` per group.
-
-    Same backend spec as :func:`_compute_pairs`; module level so it
-    pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
-    """
-    if spec[0] == "csr":
-        graph = spec[1]
-        return [
-            graph.multi_target_distances(source, targets, cutoff)
-            for source, targets in groups
-        ]
-    _kind, network, directed = spec
-    return [
-        dijkstra_multi_target(
-            network, source, targets, directed=directed, cutoff=cutoff
-        )
-        for source, targets in groups
-    ]
-
-
 def _csr_pairs_kernel(
     cutoff: float, graph, view, lo: int, hi: int
 ) -> list[tuple[float, int]]:
@@ -935,7 +845,7 @@ def _csr_pairs_kernel(
 
     ``view[lo:hi]`` holds ``(source, target)`` int64 slots back-to-back
     (stride 2).  ``graph`` is the worker's zero-copy attached snapshot —
-    the searches themselves are identical to :func:`_compute_pairs`.
+    the searches themselves are identical to the serial batch.
     """
     search = graph.bidirectional_distance_counted
     return [
@@ -950,7 +860,7 @@ def _csr_groups_kernel(
 
     Each group is self-delimiting: ``[source, n_targets, targets...]``.
     The kernel walks its ``[lo, hi)`` element range and runs one bounded
-    multi-target search per group, exactly as :func:`_compute_groups`.
+    multi-target search per group, exactly as the serial batch does.
     """
     results = []
     i = lo
@@ -961,31 +871,3 @@ def _csr_groups_kernel(
         i += 2 + n_targets
         results.append(graph.multi_target_distances(source, targets, cutoff))
     return results
-
-
-def _dict_pairs_chunk(
-    directed: bool,
-    cutoff: float,
-    network,
-    pairs: list[tuple[int, int]],
-) -> list[tuple[float, int]]:
-    """Chunk kernel for the dict backend over a broadcast network."""
-    return [
-        dijkstra_distance_counted(network, a, b, directed=directed, cutoff=cutoff)
-        for a, b in pairs
-    ]
-
-
-def _dict_groups_chunk(
-    directed: bool,
-    cutoff: float,
-    network,
-    groups: list[tuple[int, tuple[int, ...]]],
-) -> list[tuple[dict[int, float], int]]:
-    """Grouped chunk kernel for the dict backend over a broadcast network."""
-    return [
-        dijkstra_multi_target(
-            network, source, targets, directed=directed, cutoff=cutoff
-        )
-        for source, targets in groups
-    ]

@@ -4,15 +4,54 @@ The ``paper_example`` fixture reconstructs the worked example of
 Figure 1(b) of the NEAT paper — five trajectories over a star junction —
 whose base-cluster densities, netflows and f-neighborhoods the paper
 states explicitly; several test modules assert against those numbers.
+
+Two Phase 3 references live here too, so the single production path can
+be checked against something simpler than itself:
+:func:`pairwise_reference` and :func:`dijkstra_reference_engine`.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 
 from repro.core.model import Location, Trajectory
 from repro.roadnet.builder import line_network, network_from_edges, star_network
 from repro.roadnet.network import RoadNetwork
+from repro.roadnet.shortest_path import ShortestPathEngine, dijkstra_distance
+
+
+def pairwise_reference():
+    """Patch out the grouped prefetch: Phase 3 falls back to per-pair search.
+
+    Inside this context every region query runs its own bounded
+    point-to-point search, one per distinct pair. At ``workers=1`` that
+    is exactly the per-pair oracle the grouped kernels replaced, counters
+    included.
+    """
+    return mock.patch.object(
+        ShortestPathEngine, "prefetch_grouped", lambda self, *args, **kwargs: 0
+    )
+
+
+class _DijkstraOracle:
+    """Answers every distance with the dict-of-lists reference Dijkstra."""
+
+    def __init__(self, network: RoadNetwork) -> None:
+        self.network = network
+
+    def distance(self, source: int, target: int) -> float:
+        return dijkstra_distance(self.network, source, target)
+
+
+def dijkstra_reference_engine(network: RoadNetwork) -> ShortestPathEngine:
+    """An engine that bypasses the CSR kernels and the grouped prefetch.
+
+    Plugged in through the public ``oracle`` hook, so a pipeline run on it
+    is the plain-Dijkstra reference for cluster output.
+    """
+    return ShortestPathEngine(network, oracle=_DijkstraOracle(network))
 
 
 def trajectory_through(

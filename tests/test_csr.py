@@ -1,9 +1,10 @@
-"""Equivalence suite: CSR flat-array searches vs the legacy dict backend.
+"""Equivalence suite: CSR flat-array searches vs the dict-of-lists reference.
 
 Property-style checks over randomly generated networks: CSR Dijkstra,
-bidirectional Dijkstra and the legacy dict-of-lists walkers must return
-identical distances and routes, and engines on either backend must report
-identical ``roadnet.sp.computations``.
+bidirectional Dijkstra and the module-level dict-of-lists walkers of
+:mod:`repro.roadnet.shortest_path` must return identical distances and
+routes, and the CSR-backed engine must run exactly one search per
+distinct pair.
 """
 
 from __future__ import annotations
@@ -187,31 +188,42 @@ class TestDistanceEquivalence:
             assert net.is_route(route.sids) or len(route.sids) == 0
 
     def test_engine_backends_agree(self, seed):
+        """The CSR engine matches the dict-of-lists reference walker, and
+        its memo runs one search per distinct unordered pair."""
         net = random_network(seed)
-        dict_engine = ShortestPathEngine(net, backend="dict")
-        csr_engine = ShortestPathEngine(net, backend="csr")
-        pairs = sample_pairs(net, seed, count=50)
-        for a, b in pairs:
-            d_dict = dict_engine.distance(a, b)
-            d_csr = csr_engine.distance(a, b)
-            if d_dict == INFINITY:
-                assert d_csr == INFINITY
+        engine = ShortestPathEngine(net)
+        searched: set[tuple[int, int]] = set()
+        repeats = 0
+        for a, b in sample_pairs(net, seed, count=50):
+            want, _ = dijkstra_distance_counted(net, a, b)
+            got = engine.distance(a, b)
+            if want == INFINITY:
+                assert got == INFINITY
             else:
-                assert d_csr == pytest.approx(d_dict, rel=1e-12)
-        # Identical memo behaviour => identical roadnet.sp.computations.
-        assert dict_engine.computations == csr_engine.computations
-        assert dict_engine.cache_hits == csr_engine.cache_hits
+                assert got == pytest.approx(want, rel=1e-12)
+            if a != b:
+                key = (min(a, b), max(a, b))
+                repeats += key in searched
+                searched.add(key)
+        assert engine.computations == len(searched)
+        assert engine.cache_hits == repeats
 
 
 class TestEngineBackendSelector:
     def test_bad_backend_rejected(self):
+        # The engine has no backend selector: the keyword is unknown.
         net = random_network(6)
-        with pytest.raises(ValueError):
-            ShortestPathEngine(net, backend="gpu")
+        with pytest.raises(TypeError):
+            ShortestPathEngine(net, backend="dict")
 
     def test_default_backend_is_csr(self):
         net = random_network(7)
-        assert ShortestPathEngine(net).backend == "csr"
+        engine = ShortestPathEngine(net)
+        assert not hasattr(engine, "backend")
+        assert net._csr_cache == {}
+        ids = net.node_ids()
+        engine.distance(ids[0], ids[-1])
+        assert net._csr_cache  # the point query ran on the CSR snapshot
 
     def test_distance_many_matches_loop(self):
         net = random_network(8)

@@ -1,9 +1,9 @@
 """Tiered distance oracle: multi-target kernels, grouping, LLB pruning.
 
 The batched oracle is a pure acceleration: every test here pins either
-exact numeric equivalence with the per-pair searches, deterministic
-counter parity across backends/worker counts, or cluster-output
-invariance across the oracle tiers.
+exact numeric equivalence with the per-pair searches and the
+dict-of-lists reference walkers, deterministic counter parity across
+worker counts, or cluster-output invariance across the oracle tiers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.roadnet import (
 )
 from repro.roadnet.shortest_path import dijkstra_distance_counted
 
-from conftest import trajectory_through
+from conftest import pairwise_reference, trajectory_through
 from test_csr import random_network, sample_pairs
 
 
@@ -146,14 +146,21 @@ class TestGroupedPrefetch:
 
     @pytest.mark.parametrize("backend", ["csr", "dict"])
     def test_distances_match_lazy_engine(self, backend):
+        """Grouped answers match per-pair point queries: the engine's
+        own CSR searches, or the dict-of-lists reference walker."""
         network = random_network(23)
         pairs = self._pairs(network, 23)
         cutoff = 600.0
 
-        lazy = ShortestPathEngine(network, backend=backend)
-        lazy_values = [lazy.distance(a, b, cutoff=cutoff) for a, b in pairs]
+        if backend == "csr":
+            lazy = ShortestPathEngine(network)
+            lazy_values = [lazy.distance(a, b, cutoff=cutoff) for a, b in pairs]
+        else:
+            lazy_values = [
+                dijkstra_distance(network, a, b, cutoff=cutoff) for a, b in pairs
+            ]
 
-        grouped = ShortestPathEngine(network, backend=backend)
+        grouped = ShortestPathEngine(network)
         grouped.prefetch_grouped(pairs, cutoff=cutoff)
         grouped_values = [grouped.distance(a, b, cutoff=cutoff) for a, b in pairs]
 
@@ -163,7 +170,7 @@ class TestGroupedPrefetch:
             else:
                 assert got == want or abs(got - want) <= 1e-9 * max(got, want)
         # The whole point: far fewer executed searches than unique pairs.
-        assert grouped.computations < lazy.computations
+        assert grouped.computations < len({tuple(sorted(p)) for p in pairs})
         assert grouped.grouped_searches == grouped.computations
 
     def test_serial_parallel_counter_parity(self):
@@ -181,18 +188,32 @@ class TestGroupedPrefetch:
         assert serial.export_cache() == parallel.export_cache()
 
     def test_backend_counter_parity(self):
-        """Grouped searches are unidirectional on both backends, so the
-        executed-search and settled-node accounting must agree exactly."""
+        """Each grouped CSR search finds exactly what the dict-of-lists
+        reference :func:`dijkstra_multi_target` finds, settling exactly as
+        many nodes, so the engine's accounting and cache are the
+        reference's."""
         network = random_network(37)
         pairs = self._pairs(network, 37)
-        engines = {}
-        for backend in ("csr", "dict"):
-            engine = ShortestPathEngine(network, backend=backend)
-            engine.prefetch_grouped(pairs, cutoff=700.0)
-            engines[backend] = engine
-        assert engines["csr"].computations == engines["dict"].computations
-        assert engines["csr"].nodes_expanded == engines["dict"].nodes_expanded
-        assert engines["csr"].export_cache() == engines["dict"].export_cache()
+        cutoff = 700.0
+        engine = ShortestPathEngine(network)
+        engine.prefetch_grouped(pairs, cutoff=cutoff)
+
+        groups = plan_source_groups({tuple(sorted(p)) for p in pairs})
+        exact, bounded, settled = {}, {}, 0
+        for source, targets in groups:
+            found, expanded = dijkstra_multi_target(
+                network, source, targets, cutoff=cutoff
+            )
+            settled += expanded
+            for target in targets:
+                key = (min(source, target), max(source, target))
+                if target in found:
+                    exact[key] = found[target]
+                else:
+                    bounded[key] = cutoff
+        assert engine.computations == engine.grouped_searches == len(groups)
+        assert engine.nodes_expanded == settled
+        assert engine.export_cache() == (exact, bounded)
 
     def test_prefetched_delivery_is_not_a_cache_hit(self):
         network = random_network(41)
@@ -218,12 +239,10 @@ def _digest(result) -> str:
 class TestOracleTierEquivalence:
     def test_tiered_matches_pairwise_clusters_and_stats(self, small_workload):
         network, dataset = small_workload
-        results = {}
-        for oracle in ("pairwise", "tiered"):
-            neat = NEAT(
-                network, NEATConfig(eps=1000.0, min_card=0, sp_oracle=oracle)
-            )
-            results[oracle] = neat.run_opt(list(dataset))
+        config = NEATConfig(eps=1000.0, min_card=0)
+        results = {"tiered": NEAT(network, config).run_opt(list(dataset))}
+        with pairwise_reference():
+            results["pairwise"] = NEAT(network, config).run_opt(list(dataset))
         assert _digest(results["tiered"]) == _digest(results["pairwise"])
         tiered, pairwise = (
             results["tiered"].refinement_stats,
@@ -322,7 +341,7 @@ class TestLandmarkBoundsMemo:
 
     def test_directed_engines_refuse_landmarks(self):
         network = random_network(47)
-        engine = ShortestPathEngine(network, directed=True, backend="dict")
+        engine = ShortestPathEngine(network, directed=True)
         with pytest.raises(ValueError):
             engine.landmark_bounds()
 

@@ -172,7 +172,7 @@ class TestStaleness:
         network = random_network(11)
         path = tmp_path / "distcache.snap"
         save_distance_cache(path, warmed_engine(network, seed=11), fsync=False)
-        directed = ShortestPathEngine(network, directed=True, backend="dict")
+        directed = ShortestPathEngine(network, directed=True)
         assert load_distance_cache(path, directed) is None
 
 

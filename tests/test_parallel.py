@@ -24,6 +24,8 @@ from repro.parallel import (
 )
 from repro.roadnet import GridConfig, generate_grid_network, many_to_many_distances
 
+from conftest import dijkstra_reference_engine
+
 
 def _double_chunk(chunk):
     """Module-level chunk fn so the process pool can pickle it."""
@@ -53,8 +55,15 @@ class TestWorkerResolution:
             NEATConfig(workers=-2)
 
     def test_config_validates_backend(self):
+        for field, removed in (("sp_backend", "dict"), ("sp_oracle", "pairwise")):
+            with pytest.raises(ConfigError, match="removed"):
+                NEATConfig(**{field: removed})
+            with pytest.raises(ConfigError, match="removed"):
+                NEATConfig.from_dict({field: removed})
         with pytest.raises(ConfigError):
             NEATConfig(sp_backend="quantum")
+        # The surviving values still load, as committed configs pin them.
+        assert NEATConfig.from_dict({"sp_backend": "csr", "sp_oracle": "tiered"})
 
 
 class TestChunking:
@@ -127,47 +136,36 @@ class TestPhase1Parallel:
 
 
 class TestPipelineAgreement:
-    """Acceptance: identical output across backends and worker counts."""
+    """Acceptance: identical output across worker counts and against the
+    plain-Dijkstra reference."""
 
     def test_workers_and_backends_agree(self, workload, monkeypatch):
         _force_small_thresholds(monkeypatch)
         network, dataset = workload
-        results = {}
-        engines = {}
-        for label, workers, backend in (
-            ("serial-csr", 1, "csr"),
-            ("parallel-csr", 4, "csr"),
-            ("serial-dict", 1, "dict"),
-            ("parallel-dict", 4, "dict"),
+        runs = {}
+        for label, workers, engine in (
+            ("serial", 1, None),
+            ("parallel", 4, None),
+            ("reference", 1, dijkstra_reference_engine(network)),
         ):
-            neat = NEAT(
-                network,
-                NEATConfig(eps=1500.0, workers=workers, sp_backend=backend),
-            )
-            results[label] = neat.run_opt(dataset)
-            engines[label] = neat.engine
-        keys = {label: _cluster_key(result) for label, result in results.items()}
-        assert keys["serial-csr"] == keys["parallel-csr"]
-        assert keys["serial-csr"] == keys["serial-dict"]
-        assert keys["serial-dict"] == keys["parallel-dict"]
+            neat = NEAT(network, NEATConfig(eps=1500.0, workers=workers), engine=engine)
+            runs[label] = (neat.run_opt(dataset), neat.engine)
+        keys = {label: _cluster_key(result) for label, (result, _) in runs.items()}
+        assert keys["serial"] == keys["parallel"] == keys["reference"]
 
         # Figure-7 accounting is exact: parallel prefetching must not
         # change what the engine reports having done.
-        for backend in ("csr", "dict"):
-            serial = engines[f"serial-{backend}"]
-            parallel = engines[f"parallel-{backend}"]
-            assert serial.computations == parallel.computations
-            assert serial.cache_hits == parallel.cache_hits
-            assert serial.nodes_expanded == parallel.nodes_expanded
-        assert (
-            results["serial-csr"].refinement_stats
-            == results["parallel-csr"].refinement_stats
+        (serial, serial_engine), (parallel, parallel_engine) = (
+            runs["serial"], runs["parallel"]
         )
-        # Both backends run the same memoized searches.
-        assert (
-            engines["serial-csr"].computations
-            == engines["serial-dict"].computations
-        )
+        assert serial_engine.computations == parallel_engine.computations
+        assert serial_engine.cache_hits == parallel_engine.cache_hits
+        assert serial_engine.nodes_expanded == parallel_engine.nodes_expanded
+        assert serial.refinement_stats == parallel.refinement_stats
+        # The prune tiers see the same pairs whichever engine answers.
+        reference = runs["reference"][0].refinement_stats
+        assert reference.pair_checks == serial.refinement_stats.pair_checks
+        assert reference.elb_pruned == serial.refinement_stats.elb_pruned
 
     def test_elb_disabled_agreement(self, workload, monkeypatch):
         _force_small_thresholds(monkeypatch)

@@ -9,12 +9,14 @@ randomly generated road networks rather than example-tested:
 * the composed flow-level landmark bound never exceeds the modified
   Hausdorff flow distance (max/min are monotone, so admissibility
   survives the Equation 5 composition);
-* no combination of oracle tiers (pairwise/tiered × ELB × LLB) changes
-  the final clustering — pruning and batching are pure accelerations.
+* no combination of oracle tiers (grouped prefetch or the per-pair
+  reference × ELB × LLB) changes the final clustering — pruning and
+  batching are pure accelerations.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 
@@ -28,7 +30,7 @@ from repro.core.serialize import result_to_dict
 from repro.roadnet import INFINITY, LandmarkOracle, ShortestPathEngine
 from repro.roadnet.shortest_path import dijkstra_distance
 
-from conftest import trajectory_through
+from conftest import pairwise_reference, trajectory_through
 from test_csr import random_network
 
 #: Relative tolerance for float round-off in bound comparisons.
@@ -115,12 +117,12 @@ class TestTierInvariance:
             for trid in range(trajectories)
         ]
         digests = set()
-        for sp_oracle in ("pairwise", "tiered"):
+        for reference in (pairwise_reference, contextlib.nullcontext):
             for use_elb in (False, True):
                 for use_llb in (False, True):
                     neat = NEAT(network, NEATConfig(
-                        eps=eps, min_card=0, sp_oracle=sp_oracle,
-                        use_elb=use_elb, use_llb=use_llb,
+                        eps=eps, min_card=0, use_elb=use_elb, use_llb=use_llb,
                     ))
-                    digests.add(_digest(neat.run_opt(dataset)))
+                    with reference():
+                        digests.add(_digest(neat.run_opt(dataset)))
         assert len(digests) == 1

@@ -244,10 +244,9 @@ class TestEngineCutoff:
         net.add_junction(Point(10, 0))
         net.add_junction(Point(900, 900))
         net.add_segment(0, 1)
-        for backend in ("dict", "csr"):
-            engine = ShortestPathEngine(net, backend=backend)
-            assert engine.distance(0, 2, cutoff=50.0) == INFINITY
-            assert engine.distance(0, 2) == INFINITY
+        engine = ShortestPathEngine(net)
+        assert engine.distance(0, 2, cutoff=50.0) == INFINITY
+        assert engine.distance(0, 2) == INFINITY
 
     def test_clear_drops_bounded_cache(self, square):
         engine = ShortestPathEngine(square)

@@ -31,13 +31,11 @@ from repro.distributed.transport import (
     FRAME_MAGIC,
     FrameError,
     TornFrame,
-    clusters_from_wire,
-    clusters_to_wire,
+    clusters_from_packed,
     decode_frame,
     encode_frame,
     read_frame,
-    trajectories_from_wire,
-    trajectories_to_wire,
+    trajectories_to_packed,
 )
 from repro.errors import HandshakeFailed, NodeDown, TransportError
 from repro.obs import Telemetry
@@ -85,26 +83,6 @@ class TestFrameCodec:
         with pytest.raises(FrameError):
             read_frame(io.BytesIO(header + b"x" * 64))
 
-    def test_trajectory_wire_roundtrip(self, line3):
-        trajectories = [
-            trajectory_through(line3, 7, [0, 1, 2]),
-            trajectory_through(line3, 9, [2, 1]),
-        ]
-        rows = trajectories_to_wire(trajectories)
-        json.dumps(rows)  # must be JSON-serializable as-is
-        assert trajectories_from_wire(rows) == trajectories
-
-    def test_cluster_wire_roundtrip(self, line3):
-        from repro.core.base_cluster import form_base_clusters
-
-        trajectories = [trajectory_through(line3, i, [0, 1, 2]) for i in range(4)]
-        clusters = form_base_clusters(line3, trajectories)
-        rows = clusters_to_wire(clusters)
-        json.dumps(rows)
-        restored = clusters_from_wire(rows)
-        assert [c.sid for c in restored] == [c.sid for c in clusters]
-        assert [c.fragments for c in restored] == [c.fragments for c in clusters]
-
 
 # ----------------------------------------------------------------------
 # RPCs against a live in-process server
@@ -128,13 +106,33 @@ class TestShardRPC:
         client = TransportClient(shard.host, shard.port)
         result = client.call(
             "preprocess",
-            {"trajectories": trajectories_to_wire(trajectories),
+            {"trajectories_packed": trajectories_to_packed(trajectories),
              "keep_interior_points": False},
         )
-        remote = clusters_from_wire(result["clusters"])
+        remote = clusters_from_packed(result["clusters_packed"])
         local = form_base_clusters(line3, trajectories)
         assert [c.sid for c in remote] == [c.sid for c in local]
         assert [c.fragments for c in remote] == [c.fragments for c in local]
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"trajectories_pakced": trajectories_to_packed([])},
+        {"trajectories": []},
+    ])
+    def test_preprocess_without_packed_input_is_rejected(self, shard, payload):
+        """A missing (or misspelled) input key must never read as an
+        empty shard: the reply is a protocol error naming the key."""
+        client = TransportClient(shard.host, shard.port)
+        try:
+            with pytest.raises(TransportError) as excinfo:
+                client.call("preprocess", payload)
+            # The connection survives the rejected request.
+            assert client.call("ping") == {"node_id": 0}
+        finally:
+            client.close()
+        assert excinfo.value.kind == "protocol"
+        assert "trajectories_packed" in str(excinfo.value)
+        assert shard.preprocess_calls == 0
 
     def test_stats_counts_requests(self, line3, shard):
         client = TransportClient(shard.host, shard.port)

@@ -439,6 +439,33 @@ class TestPackedSchema:
         assert isinstance(excinfo.value, TransportError)
         assert excinfo.value.kind == "protocol"
 
+    @pytest.mark.parametrize("damage", ["missing", "not-a-string"])
+    @pytest.mark.parametrize("decoder", ["trajectories", "clusters"])
+    def test_absent_or_non_string_column_is_typed(self, line3, decoder, damage):
+        trajectories, clusters = self._packed(line3)
+        payload = dict(trajectories if decoder == "trajectories" else clusters)
+        if damage == "missing":
+            del payload["xs"]
+        else:
+            payload["xs"] = [0.0, 1.0]
+        decode = (
+            trajectories_from_packed if decoder == "trajectories"
+            else clusters_from_packed
+        )
+        with pytest.raises(MalformedPayload, match="'xs'") as excinfo:
+            decode(payload)
+        assert excinfo.value.kind == "protocol"
+
+    @pytest.mark.parametrize("reply", [{}, {"clusters": []}, None])
+    def test_reply_without_packed_clusters_is_typed(self, reply):
+        class _Replies:
+            def finish(self, pending):
+                return reply
+
+        node = RemoteDataNode(0, _Replies())
+        with pytest.raises(MalformedPayload, match="clusters_packed"):
+            node.finish_preprocess(None)
+
     def test_malformed_request_is_a_protocol_error_reply(self, line3, shard):
         trajectories, _ = self._packed(line3)
         client = TransportClient(shard.host, shard.port)

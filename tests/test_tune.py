@@ -328,6 +328,14 @@ class TestCommittedArtifacts:
         assert isinstance(config, NEATConfig)
         assert len(document["digest"]) == 64
 
+    @pytest.mark.parametrize("region", ["ATL", "SJ", "MIA"])
+    def test_committed_best_configs_reproduce(self, region):
+        """Each committed winner still clusters to its recorded digest."""
+        path = REPO / "benchmarks" / "tuning" / "best_config" / f"{region}.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        matches, fresh = reproduce_best_config(document)
+        assert matches, f"{region}: {fresh} != {document['digest']}"
+
     def test_committed_grid_expands(self):
         document = validate_grid(load_grid(REPO / "tune_grid.yaml"))
         overlays = expand_grid(document["grid"])

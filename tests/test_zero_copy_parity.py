@@ -4,7 +4,8 @@ Three parity axes, each of which the zero-copy core could plausibly
 break and therefore must be pinned:
 
 * worker count — shared-memory CSR kernels vs serial inline runs;
-* shortest-path backend — shared CSR vs the broadcast dict network;
+* shortest-path reference — the CSR engine at every worker count vs an
+  engine answering from the plain dict-of-lists Dijkstra;
 * vector backend — the numpy bound kernels vs the stdlib loops
   (hypothesis drives the ELB guard band with adversarial coordinates
   right at the eps boundary).
@@ -28,6 +29,8 @@ from repro.errors import ConfigError
 from repro.mobisim.simulator import SimulationConfig, simulate_dataset
 from repro.roadnet import GridConfig, generate_grid_network
 from repro.vec import get_numpy, resolve_vector_backend
+
+from conftest import dijkstra_reference_engine
 
 HAVE_NUMPY = get_numpy() is not None
 
@@ -178,7 +181,8 @@ class TestVectorBackendResolution:
 
 
 # ----------------------------------------------------------------------
-# Whole-pipeline parity: worker counts x sp backends x vector backends.
+# Whole-pipeline parity: worker counts, the Dijkstra reference, vector
+# backends.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def workload():
@@ -223,15 +227,14 @@ class TestPipelineParity:
     def test_backends_match_at_every_worker_count(self, workload, monkeypatch):
         _force_small_thresholds(monkeypatch)
         network, dataset = workload
-        keys = {}
-        for backend in ("csr", "dict"):
-            for workers in (1, 3):
-                neat = NEAT(
-                    network,
-                    NEATConfig(eps=1400.0, workers=workers, sp_backend=backend),
-                )
-                keys[(backend, workers)] = _run_key(neat.run_opt(dataset))
-        assert len(set(map(str, keys.values()))) == 1
+        reference = NEAT(
+            network, NEATConfig(eps=1400.0),
+            engine=dijkstra_reference_engine(network),
+        )
+        want = _run_key(reference.run_opt(dataset))
+        for workers in (1, 3):
+            neat = NEAT(network, NEATConfig(eps=1400.0, workers=workers))
+            assert _run_key(neat.run_opt(dataset)) == want, f"workers={workers}"
 
     def test_vector_backends_match(self, workload, monkeypatch):
         _force_small_thresholds(monkeypatch)
