@@ -2,11 +2,12 @@
 
 The NEAT system "distributes trajectory datasets across multiple nodes in
 a cluster.  These data nodes can perform some data preprocessing tasks."
-This package implements that 3-tier deployment two ways: simulated
-in-process :class:`DataNode` s, and *real* shard worker processes
-(``repro shard-node``) reached over the framed TCP wire protocol of
-:mod:`repro.distributed.transport`, partitioned by map region through
-the consistent-hash ring of :mod:`repro.distributed.shardmap`.  Either
+This package implements that 3-tier deployment with one data-node role,
+the :class:`ShardNode` op handler: in this process, or in *real* shard
+worker processes (``repro shard-node``) behind the framed TCP wire
+protocol of :mod:`repro.distributed.transport`, partitioned by map
+region through the consistent-hash ring of
+:mod:`repro.distributed.shardmap`.  Either
 way, data nodes run Phase 1 over their trajectory shards, the
 coordinator merges the partial base clusters (base-cluster formation is
 a group-by, so the merge is exact) and runs Phases 2-3 centrally —
@@ -21,12 +22,14 @@ deadlines, a circuit breaker and degraded-mode (stale-snapshot) serving.
 See ``docs/robustness.md``.
 """
 
-from .nodes import DataNode, NeatCoordinator, merge_base_clusters, shard_round_robin
+from .nodes import NeatCoordinator, merge_base_clusters, shard_round_robin
 from .service import NeatService, ServiceStats
 from .shardmap import HashRing, RegionShardMap, boundary_sids, partition_slices
 from .transport import (
     ConnectionPool,
+    InProcessClient,
     RemoteDataNode,
+    ShardNode,
     ShardNodeServer,
     ShardProcess,
     TransportClient,
@@ -36,13 +39,14 @@ from .transport import (
 
 __all__ = [
     "ConnectionPool",
-    "DataNode",
     "HashRing",
+    "InProcessClient",
     "NeatCoordinator",
     "NeatService",
     "RegionShardMap",
     "RemoteDataNode",
     "ServiceStats",
+    "ShardNode",
     "ShardNodeServer",
     "ShardProcess",
     "TransportClient",

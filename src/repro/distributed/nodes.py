@@ -1,12 +1,14 @@
-"""Data nodes and coordinator for distributed Phase 1, fault-tolerant.
+"""The coordinator for distributed Phase 1, fault-tolerant.
 
 Base-cluster formation (Phase 1) is a *distributive* aggregation: a base
 cluster is "all t-fragments with this sid", so fragments extracted on any
 shard can be merged by sid without loss.  That makes the paper's data-node
 preprocessing exact:
 
-1. each :class:`DataNode` fragments its trajectory shard and groups the
-   fragments into partial base clusters;
+1. each data node (a shard node in this process or in a shard process,
+   driven through :class:`~repro.distributed.transport.RemoteDataNode`)
+   fragments its trajectory shard and groups the fragments into partial
+   base clusters;
 2. :func:`merge_base_clusters` unions the partial clusters by sid;
 3. the :class:`NeatCoordinator` runs Phases 2-3 on the merged clusters,
    producing bit-identical results to a centralized run.
@@ -19,19 +21,15 @@ that fails the merge proceeds without the shard — the loss is reported in
 ``NEATResult.dropped_shards`` rather than poisoning the run.  A quorum
 floor turns "too many shards lost" into an explicit
 :class:`~repro.errors.QuorumLost` error.
-
-Everything is synchronous and in-process — the point is the dataflow
-decomposition the paper sketches, not an RPC stack.  Faults are injected
-deterministically through per-node :class:`~repro.resilience.FaultPlan` s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from ..core.base_cluster import BaseCluster, form_base_clusters
+from ..core.base_cluster import BaseCluster
 from ..core.config import NEATConfig
 from ..core.flow_formation import form_flow_clusters
 from ..core.model import Trajectory
@@ -39,16 +37,24 @@ from ..core.refinement import RefinementStats, refine_flow_clusters
 from ..core.result import NEATResult, PhaseTimings
 from ..errors import NodeDown, QuorumLost, RetriesExhausted
 from ..obs import Telemetry, get_logger
-from ..resilience import FaultPlan, FaultyCallable, RetryPolicy
+from ..resilience import FaultInjector, RetryPolicy
 from ..roadnet.network import RoadNetwork
 from ..roadnet.shortest_path import ShortestPathEngine
 from .shardmap import RegionShardMap, boundary_sids, partition_slices
+from .transport import InProcessClient, RemoteDataNode, ShardNode
 
 _log = get_logger("distributed.nodes")
 
-#: Marks a pipelined call whose request half already failed; the
-#: collection loop falls back to the blocking retry-wrapped dispatch.
-_PIPELINE_FAILED = object()
+#: A Phase 3 slice gets one blocking retry after its pipelined call.
+_SLICE_RETRY = RetryPolicy(max_retries=1, base_delay_s=0.0, jitter=0.0)
+
+
+def _start(starter: Callable[[], object]) -> object:
+    """A pipelined call's pending half, or the error starting it raised."""
+    try:
+        return starter()
+    except Exception as error:
+        return error
 
 
 def shard_round_robin(
@@ -66,73 +72,6 @@ def shard_round_robin(
     for index, trajectory in enumerate(trajectories):
         shards[index % shard_count].append(trajectory)
     return shards
-
-
-@dataclass
-class DataNode:
-    """One data node: holds a trajectory shard, runs Phase 1 locally.
-
-    Attributes:
-        node_id: Identifier within the cluster.
-        network: The (replicated) road network.
-        trajectories: The node's trajectory shard.
-        healthy: Liveness flag; a dead node raises
-            :class:`~repro.errors.NodeDown` on any preprocessing call.
-        fault_plan: Optional deterministic fault schedule applied to
-            every preprocessing call (chaos drills).
-    """
-
-    node_id: int
-    network: RoadNetwork
-    trajectories: list[Trajectory] = field(default_factory=list)
-    healthy: bool = True
-    fault_plan: FaultPlan | None = None
-    _faulty: FaultyCallable | None = field(default=None, repr=False, compare=False)
-
-    def ingest(self, trajectories: Iterable[Trajectory]) -> None:
-        """Add trajectories to this node's shard."""
-        self.trajectories.extend(trajectories)
-
-    def kill(self) -> None:
-        """Mark the node dead (every later call raises ``NodeDown``)."""
-        self.healthy = False
-
-    def revive(self) -> None:
-        """Bring a dead node back (its shard is still held)."""
-        self.healthy = True
-
-    def preprocess(self, keep_interior_points: bool = False) -> list[BaseCluster]:
-        """Run Phase 1 over the local shard (the paper's node-side task)."""
-        return self.preprocess_batch(
-            self.trajectories, keep_interior_points=keep_interior_points
-        )
-
-    def preprocess_batch(
-        self,
-        trajectories: Sequence[Trajectory],
-        keep_interior_points: bool = False,
-    ) -> list[BaseCluster]:
-        """Run Phase 1 over an explicit trajectory list.
-
-        Used for re-dispatch: a surviving node processes a dead peer's
-        shard *in addition to* its own, without re-running its own work
-        (Phase 1 is distributive, so the partials merge exactly).
-        """
-        if not self.healthy:
-            raise NodeDown(self.node_id)
-        if self.fault_plan is not None:
-            if self._faulty is None or self._faulty.plan is not self.fault_plan:
-                self._faulty = self.fault_plan.wrap(
-                    form_base_clusters, operation=f"node{self.node_id}.preprocess"
-                )
-            return self._faulty(
-                self.network, trajectories,
-                keep_interior_points=keep_interior_points,
-            )
-        return form_base_clusters(
-            self.network, trajectories,
-            keep_interior_points=keep_interior_points,
-        )
 
 
 def merge_base_clusters(
@@ -180,11 +119,13 @@ class NeatCoordinator:
         network: The road network (replicated to every node).
         config: NEAT parameters; ``config.max_retries`` seeds the default
             retry policy.
-        node_count: Number of data nodes to simulate.
+        node_count: Number of in-process nodes to build when ``nodes`` is
+            not given: :class:`RemoteDataNode` s over
+            :class:`InProcessClient` s sharing one fault injector
+            (``node.client.faults``, armed at ``transport.node{id}``).
         retry_policy: Policy for node dispatches.  The default retries
-            ``config.max_retries`` times with zero backoff (the nodes are
-            in-process; there is no transport to wait out) — pass a real
-            policy when fronting remote nodes.
+            ``config.max_retries`` times with zero backoff — pass a real
+            policy when fronting shard processes.
         telemetry: Optional shared telemetry bundle; the coordinator
             publishes ``resilience.*`` and ``coordinator.*`` counters and
             structured events into it.
@@ -194,12 +135,10 @@ class NeatCoordinator:
             merged (after re-dispatch); going below raises
             :class:`~repro.errors.QuorumLost`.  0.0 (default) always
             proceeds with whatever survived.
-        nodes: Explicit node objects to dispatch to instead of the
-            simulated in-process :class:`DataNode` s — anything with the
-            node duck type works, notably
-            :class:`~repro.distributed.transport.RemoteDataNode` stubs
-            fronting real shard processes.  ``node_count`` is ignored
-            when given.
+        nodes: Explicit :class:`RemoteDataNode` s to dispatch to, e.g.
+            ones fronting shard processes through a
+            :class:`~repro.distributed.transport.TransportClient`.
+            ``node_count`` is ignored when given.
         shardmap: Optional
             :class:`~repro.distributed.shardmap.RegionShardMap`: shards
             are cut by map region through its consistent-hash ring
@@ -242,11 +181,16 @@ class NeatCoordinator:
             raise ValueError(f"min_quorum must be in [0, 1], got {min_quorum}")
         self.network = network
         self.config = config if config is not None else NEATConfig()
-        self.nodes = (
-            list(nodes)
-            if nodes is not None
-            else [DataNode(i, network) for i in range(node_count)]
-        )
+        if nodes is None:
+            faults = FaultInjector()
+            nodes = [
+                RemoteDataNode(i, InProcessClient(
+                    ShardNode(network, node_id=i),
+                    faults=faults, fault_operation=f"transport.node{i}",
+                ))
+                for i in range(node_count)
+            ]
+        self.nodes = list(nodes)
         self.shardmap = shardmap
         self.engine = ShortestPathEngine(network, directed=False)
         self.retry_policy = (
@@ -263,6 +207,10 @@ class NeatCoordinator:
         self.remote_phase3 = remote_phase3
 
     # ------------------------------------------------------------------
+    def _inc(self, name: str, description: str, amount: float = 1.0) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.metrics.inc(name, amount=amount, description=description)
+
     def node_health(self) -> dict[int, bool]:
         """Liveness by node id (the coordinator's health-tracking view)."""
         return {node.node_id: node.healthy for node in self.nodes}
@@ -270,7 +218,7 @@ class NeatCoordinator:
     def shard_table(self) -> list[dict]:
         """The ``/statusz`` shard table: one row per node.
 
-        Remote nodes contribute their wire address; ring membership
+        Each node contributes its client's address; ring membership
         reflects any rebalances performed so far.
         """
         in_ring = (
@@ -279,12 +227,11 @@ class NeatCoordinator:
         )
         rows = []
         for node in self.nodes:
-            client = getattr(node, "client", None)
             rows.append({
                 "node": node.node_id,
                 "healthy": bool(node.healthy),
                 "trajectories": len(node.trajectories),
-                "address": getattr(client, "address", None),
+                "address": node.client.address,
                 "in_ring": (
                     node.node_id in in_ring if in_ring is not None else None
                 ),
@@ -322,40 +269,35 @@ class NeatCoordinator:
         for _, node, shard in assignments:
             node.ingest(shard)
 
-        metrics = self.telemetry.metrics if self.telemetry.enabled else None
         partials, failed = self._gather_partials(assignments)
-        if metrics is not None:
-            metrics.inc(
-                "coordinator.shards_dispatched",
-                amount=len(assignments),
-                description="Non-empty shards dispatched to data nodes",
-            )
+        self._inc(
+            "coordinator.shards_dispatched",
+            "Non-empty shards dispatched to data nodes", len(assignments),
+        )
 
         dropped: list[int] = []
         for index, shard in failed:
             if self.redispatch and self._redispatch(index, shard, partials):
                 continue
             dropped.append(index)
-            if metrics is not None:
-                metrics.inc(
-                    "coordinator.shards_dropped",
-                    description="Shards abandoned after re-dispatch failed",
-                )
+            self._inc(
+                "coordinator.shards_dropped",
+                "Shards abandoned after re-dispatch failed",
+            )
             _log.warning("shard dropped", shard=index, trajectories=len(shard))
 
         surviving = len(assignments) - len(dropped)
         if assignments and surviving < math.ceil(self.min_quorum * len(assignments)):
             raise QuorumLost(surviving, len(assignments), self.min_quorum)
 
-        if metrics is not None:
+        if self.telemetry.enabled:
             # Boundary accounting: segments whose fragments arrived from
             # more than one shard.  The merge handles them exactly; the
             # counter makes the partition's edge effects observable.
-            metrics.inc(
+            self._inc(
                 "ring.boundary_segments",
-                amount=len(boundary_sids(partials)),
-                description="Segments whose fragments arrived from "
-                            "multiple shards in the last merge",
+                "Segments whose fragments arrived from multiple shards in "
+                "the last merge", len(boundary_sids(partials)),
             )
         result = NEATResult(mode=mode, timings=PhaseTimings())
         result.dropped_shards = dropped
@@ -391,65 +333,67 @@ class NeatCoordinator:
 
     # ------------------------------------------------------------------
     def _gather_partials(
-        self, assignments: list[tuple[int, DataNode, list[Trajectory]]]
+        self, assignments: list[tuple[int, RemoteDataNode, list[Trajectory]]]
     ) -> tuple[list[Sequence[BaseCluster]], list[tuple[int, list[Trajectory]]]]:
-        """Phase 1 over every assigned shard, pipelined where possible.
+        """Phase 1 over every assigned shard, pipelined.
 
-        Nodes exposing the ``start_preprocess`` / ``finish_preprocess``
-        half-call contract (remote stubs) get their requests written
-        *before any response is read* — every shard process computes
-        concurrently instead of one-at-a-time behind a blocking call.
-        In-process nodes, and any pipelined call that fails, go through
-        the blocking retry-wrapped :meth:`_dispatch` (a failed pipelined
-        attempt counts one ``resilience.retries``, matching what the
-        retry policy would have recorded for its first failure).
+        Every node gets its ``preprocess`` request written *before any
+        response is read*, so shard processes compute concurrently
+        instead of one-at-a-time behind a blocking call.
         """
-        pending: list[tuple[int, DataNode, list[Trajectory], object]] = []
-        for index, node, shard in assignments:
-            starter = getattr(node, "start_preprocess", None)
-            if starter is None or not node.healthy:
-                pending.append((index, node, shard, None))
-                continue
-            try:
-                call = starter(
-                    shard,
-                    keep_interior_points=self.config.keep_interior_points,
-                )
-            except Exception as error:
-                self._count_pipeline_retry(node, index, error)
-                call = _PIPELINE_FAILED
-            pending.append((index, node, shard, call))
-
+        started = [
+            (index, node, shard, _start(self._preprocess_starter(node, shard)))
+            for index, node, shard in assignments
+        ]
         partials: list[Sequence[BaseCluster]] = []
         failed: list[tuple[int, list[Trajectory]]] = []
-        for index, node, shard, call in pending:
-            if call is None or call is _PIPELINE_FAILED:
-                partial = self._dispatch(node, shard, shard_index=index)
-            else:
-                try:
-                    partial = node.finish_preprocess(call)
-                except Exception as error:
-                    self._count_pipeline_retry(node, index, error)
-                    partial = self._dispatch(node, shard, shard_index=index)
+        for index, node, shard, call in started:
+            partial = self._dispatch(node, shard, index, call)
             if partial is None:
                 failed.append((index, shard))
             else:
                 partials.append(partial)
         return partials, failed
 
-    def _count_pipeline_retry(
-        self, node: DataNode, shard_index: int, error: BaseException
-    ) -> None:
-        """Account a failed pipelined attempt like a policy retry."""
-        metrics = self.telemetry.metrics if self.telemetry.enabled else None
-        if metrics is not None:
-            metrics.inc(
-                "resilience.retries",
-                description="Attempts retried by a RetryPolicy",
+    def _preprocess_starter(
+        self, node: RemoteDataNode, shard: Sequence[Trajectory]
+    ) -> Callable[[], object]:
+        return functools.partial(
+            node.start_preprocess, shard,
+            keep_interior_points=self.config.keep_interior_points,
+        )
+
+    def _retried(
+        self, policy: RetryPolicy, node: RemoteDataNode, operation: str,
+        start: Callable[[], object], finish: Callable[[object], Any],
+        started: object = None,
+    ) -> Any:
+        """``finish(start())`` on ``node`` under ``policy``.
+
+        ``started`` is an already pipelined first attempt (what
+        :func:`_start` returned): it is the policy's first attempt, so a
+        pipelined call gets the attempt budget of a blocking one.  Raises
+        :class:`RetriesExhausted` when every attempt failed.
+        """
+        first = [] if started is None else [started]
+
+        def once():
+            call = first.pop() if first else start()
+            if isinstance(call, BaseException):
+                raise call
+            return finish(call)
+
+        def on_retry(attempt: int, delay: float, error: BaseException) -> None:
+            self._inc("resilience.retries", "Attempts retried by a RetryPolicy")
+            _log.warning(
+                "node call retrying",
+                node=node.node_id, operation=operation,
+                attempt=attempt, delay_s=round(delay, 6), error=repr(error),
             )
-        _log.warning(
-            "pipelined dispatch falling back to blocking retry",
-            node=node.node_id, shard=shard_index, error=repr(error),
+
+        return policy.call(
+            once, operation=f"node{node.node_id}.{operation}",
+            on_retry=on_retry,
         )
 
     def _phase3_remote_prefetch(self, flows: Sequence) -> int:
@@ -458,16 +402,16 @@ class NeatCoordinator:
         Enumerates the same lower-bound-surviving endpoint pairs local
         refinement would search (same enumerator, same order), cuts them
         into contiguous :func:`~repro.distributed.shardmap.partition_slices`
-        across healthy distance-capable nodes, pipelines one wire call
+        across healthy nodes, pipelines one wire call
         per node (chunked through ``batch`` frames for large slices) and
         merges the answers into the coordinator engine's memo tables.
         ``refine_flow_clusters`` then finds every pair pre-answered and
         runs zero local searches.
 
-        A slice whose pipelined call fails is retried once with a
-        blocking call on the same node; if that fails too the slice is
-        *dropped* — not absorbed — and refinement computes those pairs
-        locally (``coordinator.phase3_local_fallbacks``).  Either way the
+        A slice whose pipelined call fails is retried once on the same
+        node; if that fails too the slice is *dropped* — not absorbed —
+        and refinement computes those pairs locally
+        (``coordinator.phase3_local_fallbacks``).  Either way the
         clusters are byte-identical: bounded distances are exact values,
         and an unanswered pair is answered by the same search serial NEAT
         would run.
@@ -477,11 +421,7 @@ class NeatCoordinator:
         """
         from ..core.refinement import _surviving_endpoint_pairs
 
-        metrics = self.telemetry.metrics if self.telemetry.enabled else None
-        capable = [
-            node for node in self.nodes
-            if node.healthy and hasattr(node, "start_distances")
-        ]
+        capable = [node for node in self.nodes if node.healthy]
         if not capable:
             return 0
         eps = self.config.eps
@@ -492,63 +432,42 @@ class NeatCoordinator:
             self.network, list(flows), eps, self.config.use_elb, llb=llb
         )
         # Skip pairs the engine already knows (exact hit, or proven
-        # farther than eps) — a warm coordinator re-run ships only the
-        # genuinely new work.  Reaches into the memo tables directly;
-        # the filter must mirror the one in ``prefetch_grouped``.
-        todo = [
-            key for key in pairs
-            if key not in self.engine._cache
-            and self.engine._bounded.get(key, -1.0) < eps
-        ]
+        # farther than eps): a warm coordinator re-run ships only the
+        # genuinely new work.
+        todo = self.engine.unknown_pairs(pairs, cutoff=eps)
         if not todo:
             return 0
 
         slices = partition_slices(len(todo), [n.node_id for n in capable])
-        by_id = {node.node_id: node for node in capable}
-        started: list[tuple[int, int, int, object]] = []
-        for node_id, start, stop in slices:
-            if start == stop:
-                continue
-            try:
-                call = by_id[node_id].start_distances(
-                    todo[start:stop], cutoff=eps
-                )
-            except Exception as error:
-                self._count_pipeline_retry(by_id[node_id], -1, error)
-                call = _PIPELINE_FAILED
-            started.append((node_id, start, stop, call))
+        calls = []
+        for node, (_, start, stop) in zip(capable, slices):
+            if start < stop:
+                chunk = todo[start:stop]
+                starter = functools.partial(node.start_distances, chunk, cutoff=eps)
+                calls.append((node, chunk, starter, _start(starter)))
 
         exact: dict[tuple[int, int], float] = {}
         bounded: dict[tuple[int, int], float] = {}
         computations = 0
         absorbed = 0
-        for node_id, start, stop, call in started:
-            node = by_id[node_id]
-            chunk = todo[start:stop]
-            values = None
-            count = 0
-            if call is not _PIPELINE_FAILED:
-                try:
-                    values, count = node.finish_distances(call)
-                except Exception as error:
-                    self._count_pipeline_retry(node, -1, error)
-                    values = None
-            if values is None:
-                try:
-                    values, count = node.distances(chunk, cutoff=eps)
-                except Exception as error:
-                    values = None
-                    if metrics is not None:
-                        metrics.inc(
-                            "coordinator.phase3_local_fallbacks",
-                            description="Phase 3 pair slices computed "
-                                        "locally after a node failed them",
-                        )
-                    _log.warning(
-                        "phase3 slice falling back to local compute",
-                        node=node_id, pairs=len(chunk), error=repr(error),
-                    )
-            if values is None or len(values) != len(chunk):
+        for node, chunk, starter, call in calls:
+            try:
+                values, count = self._retried(
+                    _SLICE_RETRY, node, "distances", starter,
+                    node.finish_distances, call,
+                )
+            except RetriesExhausted as error:
+                self._inc(
+                    "coordinator.phase3_local_fallbacks",
+                    "Phase 3 pair slices computed locally after a node "
+                    "failed them",
+                )
+                _log.warning(
+                    "phase3 slice falling back to local compute",
+                    node=node.node_id, pairs=len(chunk), error=repr(error),
+                )
+                continue
+            if len(values) != len(chunk):
                 continue
             computations += count
             absorbed += len(chunk)
@@ -561,47 +480,32 @@ class NeatCoordinator:
                     exact[key] = float(value)
         if exact or bounded:
             self.engine.absorb_cache(exact, bounded, mark_warm=False)
-        if metrics is not None and absorbed:
-            metrics.inc(
+        if absorbed:
+            self._inc(
                 "coordinator.phase3_remote_pairs",
-                amount=absorbed,
-                description="Phase 3 endpoint pairs answered by shard nodes",
+                "Phase 3 endpoint pairs answered by shard nodes", absorbed,
             )
         return computations
 
     # ------------------------------------------------------------------
     def _dispatch(
         self,
-        node: DataNode,
+        node: RemoteDataNode,
         shard: Sequence[Trajectory],
         shard_index: int,
+        started: object = None,
     ) -> list[BaseCluster] | None:
         """One shard through one node under the retry policy.
 
-        Returns the partial base clusters, or None after marking the node
-        dead when every attempt failed.
+        ``started`` is the node's pipelined first attempt, if any (see
+        :meth:`_retried`).  Returns the partial base clusters, or None
+        after marking the node dead when every attempt failed.
         """
-        metrics = self.telemetry.metrics if self.telemetry.enabled else None
-
-        def on_retry(attempt: int, delay: float, error: BaseException) -> None:
-            if metrics is not None:
-                metrics.inc(
-                    "resilience.retries",
-                    description="Attempts retried by a RetryPolicy",
-                )
-            _log.warning(
-                "node dispatch retrying",
-                node=node.node_id, shard=shard_index,
-                attempt=attempt, delay_s=round(delay, 6), error=repr(error),
-            )
-
         try:
-            return self.retry_policy.call(
-                node.preprocess_batch,
-                shard,
-                keep_interior_points=self.config.keep_interior_points,
-                operation=f"node{node.node_id}.preprocess",
-                on_retry=on_retry,
+            return self._retried(
+                self.retry_policy, node, "preprocess",
+                self._preprocess_starter(node, shard),
+                node.finish_preprocess, started,
             )
         except (RetriesExhausted, NodeDown) as error:
             node.kill()
@@ -610,17 +514,14 @@ class NeatCoordinator:
             ):
                 # Deterministic ring rebalance: only regions the dead
                 # node owned move, each to its ring successor.
-                if metrics is not None:
-                    metrics.inc(
-                        "ring.rebalances",
-                        description="Consistent-hash ring rebalances "
-                                    "after a node death",
-                    )
-            if metrics is not None:
-                metrics.inc(
-                    "resilience.node_failures",
-                    description="Data nodes marked dead by the coordinator",
+                self._inc(
+                    "ring.rebalances",
+                    "Consistent-hash ring rebalances after a node death",
                 )
+            self._inc(
+                "resilience.node_failures",
+                "Data nodes marked dead by the coordinator",
+            )
             _log.error(
                 "node marked dead",
                 node=node.node_id, shard=shard_index, error=repr(error),
@@ -640,7 +541,6 @@ class NeatCoordinator:
         real rebalance would hand the region to.  Without one, nodes are
         tried in id order.
         """
-        metrics = self.telemetry.metrics if self.telemetry.enabled else None
         candidates = self.nodes
         if self.shardmap is not None:
             rank = {
@@ -656,15 +556,14 @@ class NeatCoordinator:
         for node in candidates:
             if not node.healthy:
                 continue
-            partial = self._dispatch(node, shard, shard_index=shard_index)
+            partial = self._dispatch(node, shard, shard_index)
             if partial is not None:
                 node.ingest(shard)
                 partials.append(partial)
-                if metrics is not None:
-                    metrics.inc(
-                        "coordinator.shards_redispatched",
-                        description="Failed shards recovered on surviving nodes",
-                    )
+                self._inc(
+                    "coordinator.shards_redispatched",
+                    "Failed shards recovered on surviving nodes",
+                )
                 _log.info(
                     "shard redispatched",
                     shard=shard_index, node=node.node_id,

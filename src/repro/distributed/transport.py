@@ -1,13 +1,17 @@
-"""The shard-node wire protocol: framed JSON RPC over localhost TCP.
+"""The shard node and its wire protocol: framed JSON RPC over TCP.
 
-This is the real transport behind the distributed tier — shard nodes
-run as separate OS processes (``repro shard-node``) and the coordinator
-talks to them through :class:`TransportClient`, so node loss is a
-killed process and a refused connect, not a simulated exception.
+:class:`ShardNode` is the one data-node role: a socket-free op handler
+for Phase 1 and Phase 3 distances.  :class:`ShardNodeServer` serves it
+on TCP to shard processes (``repro shard-node``) reached through
+:class:`TransportClient`, where node loss is a killed process and a
+refused connect; :class:`InProcessClient` hands the same request dicts
+to a :class:`ShardNode` in this process.  The coordinator drives either
+through :class:`RemoteDataNode`.
 
-**Framing** follows :mod:`repro.persist.store`: every message is one
-frame of ``magic | payload-length u32 BE | crc32 u32 BE | payload``
-with its own magic (``RPW1``).  A frame that ends early is *torn* (the
+**Framing** is :mod:`repro.framing`'s, shared with the persistence
+journal: every message is one frame of
+``magic | payload-length u32 BE | crc32 u32 BE | payload`` with its own
+magic (``RPW1``).  A frame that ends early is *torn* (the
 peer died mid-send — the connection is closed); a complete frame whose
 CRC fails is *garbled* (the server answers with a typed error so the
 client can tell corruption from loss).
@@ -44,9 +48,10 @@ response halves so a coordinator can *pipeline* — write requests to
 every node before reading any response.
 
 **Fault injection** is scheduled by the ordinary
-:class:`~repro.resilience.FaultPlan` connection-fault fields and
-*performed* here, at the socket layer, so the observed errors are
-organic:
+:class:`~repro.resilience.FaultPlan` connection-fault fields (a
+``fail_nth`` / ``kill_from`` call is a ``refuse``) and *performed* here
+at the socket layer, so the observed errors are organic (an
+:class:`InProcessClient` raises the same error kinds):
 
 * ``refuse`` — the client never connects (as if the process is gone);
 * ``drop``   — the client sends half the request frame and closes; the
@@ -63,23 +68,24 @@ Every wire call and failure is counted in the ``transport.*`` family
 from __future__ import annotations
 
 import base64
+import contextlib
+import io
 import json
 import os
 import socket
 import socketserver
-import struct
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-import zlib
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .. import framing
 from ..core.base_cluster import BaseCluster, form_base_clusters
 from ..core.model import Location, TFragment, Trajectory
 from ..errors import HandshakeFailed, MalformedPayload, NodeDown, TransportError
@@ -91,7 +97,9 @@ from ..roadnet.network import RoadNetwork
 __all__ = [
     "PROTOCOL_VERSION",
     "ConnectionPool",
+    "InProcessClient",
     "RemoteDataNode",
+    "ShardNode",
     "ShardNodeServer",
     "ShardProcess",
     "TransportClient",
@@ -113,9 +121,9 @@ _log = get_logger("distributed.transport")
 #: schema, so ``preprocess`` speaks only the packed columnar payloads.
 PROTOCOL_VERSION = 3
 
-#: Frame header: magic (4) | payload length u32 BE (4) | crc32 u32 BE (4).
+#: Wire frame magic (the header layout is :mod:`repro.framing`'s).
 FRAME_MAGIC = b"RPW1"
-FRAME_HEADER = struct.Struct(">4sII")
+FRAME_HEADER = framing.HEADER
 
 #: Upper bound on a single frame payload (a shard of trajectories is
 #: megabytes, not gigabytes; anything larger is a corrupt length field).
@@ -139,9 +147,7 @@ class TornFrame(Exception):
 # ----------------------------------------------------------------------
 def encode_frame(payload: bytes) -> bytes:
     """One wire frame around ``payload``."""
-    return FRAME_HEADER.pack(
-        FRAME_MAGIC, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
-    ) + payload
+    return framing.encode(FRAME_MAGIC, payload)
 
 
 def decode_frame(data: bytes) -> bytes:
@@ -151,18 +157,9 @@ def decode_frame(data: bytes) -> bytes:
         TornFrame: ``data`` is shorter than the frame declares.
         FrameError: Bad magic, oversized length, or CRC mismatch.
     """
-    if len(data) < FRAME_HEADER.size:
-        raise TornFrame(f"{len(data)} byte(s), header needs {FRAME_HEADER.size}")
-    magic, length, crc = FRAME_HEADER.unpack_from(data)
-    if magic != FRAME_MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    payload = data[FRAME_HEADER.size : FRAME_HEADER.size + length]
-    if len(payload) < length:
-        raise TornFrame(f"payload {len(payload)}/{length} byte(s)")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FrameError("crc mismatch")
+    payload = read_frame(io.BytesIO(data))
+    if payload is None:
+        raise TornFrame(f"0 byte(s), header needs {FRAME_HEADER.size}")
     return payload
 
 
@@ -194,16 +191,16 @@ def read_frame(rfile: Any) -> bytes | None:
         return None
     if len(header) < FRAME_HEADER.size:
         raise TornFrame(f"header {len(header)}/{FRAME_HEADER.size} byte(s)")
-    magic, length, crc = FRAME_HEADER.unpack(header)
-    if magic != FRAME_MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    payload = _read_exact(rfile, length)
-    if len(payload) < length:
-        raise TornFrame(f"payload {len(payload)}/{length} byte(s)")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FrameError("crc mismatch")
+    try:
+        length, crc = framing.check_header(
+            header, 0, FRAME_MAGIC, MAX_FRAME_BYTES
+        )
+        payload = _read_exact(rfile, length)
+        if len(payload) < length:
+            raise TornFrame(f"payload {len(payload)}/{length} byte(s)")
+        framing.check_crc(payload, crc)
+    except framing.BadFrame as error:
+        raise FrameError(str(error)) from None
     return payload
 
 
@@ -494,8 +491,183 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
 
 
 # ----------------------------------------------------------------------
-# Server
+# Shard node and its TCP server
 # ----------------------------------------------------------------------
+def _protocol_error(error: str) -> dict[str, Any]:
+    return {"ok": False, "kind": "protocol", "error": error}
+
+
+class ShardNode:
+    """One shard node's op handler: Phase 1 and Phase 3 distances.
+
+    :meth:`execute` answers one request dict (what the wire carries,
+    packed columns included) with a reply dict.  There is no socket
+    here: :class:`ShardNodeServer` adds the TCP front, and
+    :class:`InProcessClient` calls :meth:`execute` directly.
+
+    Args:
+        network: The (replicated) road network this node works on.
+        node_id: Identifier reported in handshakes and stats.
+    """
+
+    def __init__(self, network: RoadNetwork, node_id: int = 0) -> None:
+        self.network = network
+        self.node_id = node_id
+        self.requests = 0
+        self.preprocess_calls = 0
+        self.trajectories_processed = 0
+        self.distance_calls = 0
+        self.distance_pairs = 0
+        self.batched_requests = 0
+        self.connections = 0
+        self.bad_frames = 0
+        self.torn_frames = 0
+        self._engine = None
+        self._engine_lock = threading.Lock()
+
+    def execute(
+        self, message: dict, allow_batch: bool = True
+    ) -> tuple[dict[str, Any], str]:
+        """One op's response plus the connection action it implies.
+
+        The action is ``"keep"`` (serve the next frame), ``"close"``
+        (reply, then end the connection — ``reset``) or ``"shutdown"``
+        (reply, then stop the whole server).  ``batch`` executes its
+        sub-requests in order through this same method and aggregates
+        the strongest action.  Op failures come back as ``ok: false``
+        replies; this method never raises.
+        """
+        op = message.get("op")
+        try:
+            payload = message.get("payload") or {}
+            if op == "batch":
+                if not allow_batch:
+                    return _protocol_error("batch ops cannot nest"), "keep"
+                self.batched_requests += 1
+                responses: list[dict[str, Any]] = []
+                action = "keep"
+                for request in payload.get("requests", []):
+                    response, sub_action = self.execute(
+                        request, allow_batch=False
+                    )
+                    responses.append(response)
+                    if sub_action == "shutdown":
+                        action = "shutdown"
+                    elif sub_action == "close" and action == "keep":
+                        action = "close"
+                return {"ok": True, "result": {"responses": responses}}, action
+            self.requests += 1
+            if op == "ping":
+                return {"ok": True, "result": {"node_id": self.node_id}}, "keep"
+            if op == "preprocess":
+                if "trajectories_packed" not in payload:
+                    # An empty shard still sends empty columns; a missing
+                    # key is a broken client, not zero trajectories.
+                    return _protocol_error(
+                        "preprocess payload lacks 'trajectories_packed'"
+                    ), "keep"
+                trajectories = trajectories_from_packed(
+                    payload["trajectories_packed"]
+                )
+                clusters = form_base_clusters(
+                    self.network,
+                    trajectories,
+                    keep_interior_points=bool(
+                        payload.get("keep_interior_points", False)
+                    ),
+                )
+                self.preprocess_calls += 1
+                self.trajectories_processed += len(trajectories)
+                return {
+                    "ok": True,
+                    "result": {"clusters_packed": clusters_to_packed(clusters)},
+                }, "keep"
+            if op == "distances":
+                return {
+                    "ok": True,
+                    "result": self.compute_distances(
+                        [
+                            (int(source), int(target))
+                            for source, target in payload.get("pairs", [])
+                        ],
+                        payload.get("cutoff"),
+                    ),
+                }, "keep"
+            if op == "stats":
+                return {"ok": True, "result": self.stats()}, "keep"
+            if op == "reset":
+                # Drop warm per-run state (the lazily-built distance
+                # engine), then a server-initiated connection close: the
+                # reply goes out, then the connection ends.  A pooled
+                # client discovers the close on its next reuse and
+                # reconnects.  Benches use this between rounds so every
+                # round is cold on both sides of the wire.
+                with self._engine_lock:
+                    self._engine = None
+                return {"ok": True, "result": {"closing": True}}, "close"
+            if op == "shutdown":
+                return {"ok": True, "result": {"stopping": True}}, "shutdown"
+            return _protocol_error(f"unknown op {op!r}"), "keep"
+        except Exception as error:  # surface, never kill the connection loop
+            _log.error("request failed", op=op, error=repr(error))
+            return _protocol_error(f"{type(error).__name__}: {error}"), "keep"
+
+    def stats(self) -> dict[str, Any]:
+        """Served-request counters (the ``stats`` RPC body)."""
+        return {
+            "node_id": self.node_id,
+            "requests": self.requests,
+            "preprocess_calls": self.preprocess_calls,
+            "trajectories_processed": self.trajectories_processed,
+            "distance_calls": self.distance_calls,
+            "distance_pairs": self.distance_pairs,
+            "batched_requests": self.batched_requests,
+            "connections": self.connections,
+            "bad_frames": self.bad_frames,
+            "torn_frames": self.torn_frames,
+        }
+
+    # -- shard-side Phase 3 ---------------------------------------------
+    def compute_distances(
+        self,
+        pairs: Sequence[tuple[int, int]],
+        cutoff: float | None = None,
+    ) -> dict[str, Any]:
+        """Eps-bounded shortest-path distances over the local network.
+
+        The shard-side half of Phase 3: the coordinator ships the
+        endpoint pairs that survived its lower-bound tiers and this node
+        answers them against its *own* replicated network through the
+        same batched multi-target kernels a serial run uses — so every
+        value is bit-identical to what the coordinator would have
+        computed itself.  A distance beyond ``cutoff`` is reported as
+        ``None`` ("farther than cutoff", the only verdict an eps region
+        query needs).
+
+        The per-node engine memoizes across calls, so repeated
+        benchmarks rounds hit the warm cache.  ``computations`` in the
+        reply is this call's fresh-search delta, letting the coordinator
+        keep honest Figure-7 accounting for work done remotely.
+        """
+        from ..roadnet.shortest_path import INFINITY, ShortestPathEngine
+
+        with self._engine_lock:
+            if self._engine is None:
+                self._engine = ShortestPathEngine(self.network, directed=False)
+            engine = self._engine
+            limit = None if cutoff is None else float(cutoff)
+            before = engine.computations
+            engine.prefetch_grouped(pairs, cutoff=limit)
+            values: list[float | None] = []
+            for source, target in pairs:
+                distance = engine.distance(source, target, cutoff=limit)
+                values.append(None if distance == INFINITY else distance)
+            computations = engine.computations - before
+        self.distance_calls += 1
+        self.distance_pairs += len(pairs)
+        return {"distances": values, "computations": computations}
+
+
 class _ShardTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -536,10 +708,7 @@ class _ShardHandler(socketserver.StreamRequestHandler):
                 message = json.loads(payload.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as error:
                 shard.bad_frames += 1
-                self._reply({
-                    "ok": False, "kind": "protocol",
-                    "error": f"payload is not JSON: {error}",
-                })
+                self._reply(_protocol_error(f"payload is not JSON: {error}"))
                 return
             if not greeted:
                 if not self._handshake(shard, message):
@@ -583,111 +752,12 @@ class _ShardHandler(socketserver.StreamRequestHandler):
             # past the client's read deadline so its timeout fires for
             # real.  Bounded so a bad plan cannot wedge the thread.
             time.sleep(min(float(stall_s), MAX_STALL_S))
-        response, action = self._execute(shard, message, allow_batch=True)
+        response, action = shard.execute(message)
         self._reply(response)
         if action == "shutdown":
             shard.request_shutdown()
             return False
         return action != "close"
-
-    def _execute(
-        self, shard: "ShardNodeServer", message: dict, allow_batch: bool
-    ) -> tuple[dict[str, Any], str]:
-        """One op's response plus the connection action it implies.
-
-        The action is ``"keep"`` (serve the next frame), ``"close"``
-        (reply, then end the connection — ``reset``) or ``"shutdown"``
-        (reply, then stop the whole server).  ``batch`` executes its
-        sub-requests in order through this same method and aggregates
-        the strongest action.
-        """
-        op = message.get("op")
-        try:
-            if op == "batch":
-                if not allow_batch:
-                    return {
-                        "ok": False, "kind": "protocol",
-                        "error": "batch ops cannot nest",
-                    }, "keep"
-                shard.batched_requests += 1
-                payload = message.get("payload") or {}
-                responses: list[dict[str, Any]] = []
-                action = "keep"
-                for request in payload.get("requests", []):
-                    response, sub_action = self._execute(
-                        shard, request, allow_batch=False
-                    )
-                    responses.append(response)
-                    if sub_action == "shutdown":
-                        action = "shutdown"
-                    elif sub_action == "close" and action == "keep":
-                        action = "close"
-                return {"ok": True, "result": {"responses": responses}}, action
-            shard.requests += 1
-            if op == "ping":
-                return {"ok": True, "result": {"node_id": shard.node_id}}, "keep"
-            if op == "preprocess":
-                payload = message.get("payload") or {}
-                if "trajectories_packed" not in payload:
-                    # An empty shard still sends empty columns; a missing
-                    # key is a broken client, not zero trajectories.
-                    return {
-                        "ok": False, "kind": "protocol",
-                        "error": "preprocess payload lacks "
-                                 "'trajectories_packed'",
-                    }, "keep"
-                trajectories = trajectories_from_packed(
-                    payload["trajectories_packed"]
-                )
-                clusters = form_base_clusters(
-                    shard.network,
-                    trajectories,
-                    keep_interior_points=bool(
-                        payload.get("keep_interior_points", False)
-                    ),
-                )
-                shard.preprocess_calls += 1
-                shard.trajectories_processed += len(trajectories)
-                return {
-                    "ok": True,
-                    "result": {"clusters_packed": clusters_to_packed(clusters)},
-                }, "keep"
-            if op == "distances":
-                payload = message.get("payload") or {}
-                return {
-                    "ok": True,
-                    "result": shard.compute_distances(
-                        [
-                            (int(source), int(target))
-                            for source, target in payload.get("pairs", [])
-                        ],
-                        payload.get("cutoff"),
-                    ),
-                }, "keep"
-            if op == "stats":
-                return {"ok": True, "result": shard.stats()}, "keep"
-            if op == "reset":
-                # Drop warm per-run state (the lazily-built distance
-                # engine), then a server-initiated connection close: the
-                # reply goes out, then the connection ends.  A pooled
-                # client discovers the close on its next reuse and
-                # reconnects.  Benches use this between rounds so every
-                # round is cold on both sides of the wire.
-                with shard._engine_lock:
-                    shard._engine = None
-                return {"ok": True, "result": {"closing": True}}, "close"
-            if op == "shutdown":
-                return {"ok": True, "result": {"stopping": True}}, "shutdown"
-            return {
-                "ok": False, "kind": "protocol",
-                "error": f"unknown op {op!r}",
-            }, "keep"
-        except Exception as error:  # surface, never kill the connection loop
-            _log.error("request failed", op=op, error=repr(error))
-            return {
-                "ok": False, "kind": "protocol",
-                "error": f"{type(error).__name__}: {error}",
-            }, "keep"
 
     def _reply(self, message: dict[str, Any]) -> None:
         try:
@@ -697,12 +767,14 @@ class _ShardHandler(socketserver.StreamRequestHandler):
             pass
 
 
-class ShardNodeServer:
-    """One shard node: serves Phase 1 over its road network on TCP.
+class ShardNodeServer(ShardNode):
+    """A :class:`ShardNode` served on TCP.
+
+    Adds only the wire front: framing, the hello handshake, the
+    ``_stall_s`` chaos hook and the connection actions.
 
     Args:
-        network: The (replicated) road network this node preprocesses on.
-        node_id: Identifier reported in handshakes and stats.
+        network, node_id: As for :class:`ShardNode`.
         host: Bind address (loopback by default).
         port: TCP port; 0 picks an ephemeral one.
     """
@@ -714,23 +786,11 @@ class ShardNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.network = network
-        self.node_id = node_id
-        self.requests = 0
-        self.preprocess_calls = 0
-        self.trajectories_processed = 0
-        self.distance_calls = 0
-        self.distance_pairs = 0
-        self.batched_requests = 0
-        self.connections = 0
-        self.bad_frames = 0
-        self.torn_frames = 0
+        super().__init__(network, node_id)
         self._server = _ShardTCPServer((host, port), _ShardHandler)
         self._server.shard = self
         self._thread: threading.Thread | None = None
         self._shutdown_requested = threading.Event()
-        self._engine = None
-        self._engine_lock = threading.Lock()
 
     # -- address --------------------------------------------------------
     @property
@@ -790,67 +850,6 @@ class ShardNodeServer:
         self._server.server_close()
         self._thread = None
 
-    def __enter__(self) -> "ShardNodeServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def stats(self) -> dict[str, Any]:
-        """Served-request counters (the ``stats`` RPC body)."""
-        return {
-            "node_id": self.node_id,
-            "requests": self.requests,
-            "preprocess_calls": self.preprocess_calls,
-            "trajectories_processed": self.trajectories_processed,
-            "distance_calls": self.distance_calls,
-            "distance_pairs": self.distance_pairs,
-            "batched_requests": self.batched_requests,
-            "connections": self.connections,
-            "bad_frames": self.bad_frames,
-            "torn_frames": self.torn_frames,
-        }
-
-    # -- shard-side Phase 3 ---------------------------------------------
-    def compute_distances(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        cutoff: float | None = None,
-    ) -> dict[str, Any]:
-        """Eps-bounded shortest-path distances over the local network.
-
-        The shard-side half of Phase 3: the coordinator ships the
-        endpoint pairs that survived its lower-bound tiers and this node
-        answers them against its *own* replicated network through the
-        same batched multi-target kernels a serial run uses — so every
-        value is bit-identical to what the coordinator would have
-        computed itself.  A distance beyond ``cutoff`` is reported as
-        ``None`` ("farther than cutoff", the only verdict an eps region
-        query needs).
-
-        The per-node engine memoizes across calls, so repeated
-        benchmarks rounds hit the warm cache.  ``computations`` in the
-        reply is this call's fresh-search delta, letting the coordinator
-        keep honest Figure-7 accounting for work done remotely.
-        """
-        from ..roadnet.shortest_path import INFINITY, ShortestPathEngine
-
-        with self._engine_lock:
-            if self._engine is None:
-                self._engine = ShortestPathEngine(self.network, directed=False)
-            engine = self._engine
-            limit = None if cutoff is None else float(cutoff)
-            before = engine.computations
-            engine.prefetch_grouped(pairs, cutoff=limit)
-            values: list[float | None] = []
-            for source, target in pairs:
-                distance = engine.distance(source, target, cutoff=limit)
-                values.append(None if distance == INFINITY else distance)
-            computations = engine.computations - before
-        self.distance_calls += 1
-        self.distance_pairs += len(pairs)
-        return {"distances": values, "computations": computations}
-
 
 # ----------------------------------------------------------------------
 # Client
@@ -866,14 +865,9 @@ class _Connection:
         self.last_used = time.monotonic()
 
     def close(self) -> None:
-        try:
-            self.rfile.close()
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        for handle in (self.rfile, self.sock):
+            with contextlib.suppress(OSError):
+                handle.close()
 
 
 class ConnectionPool:
@@ -935,29 +929,165 @@ class ConnectionPool:
             self._idle.pop().close()
 
 
+@dataclass(slots=True)
 class _PendingCall:
     """An in-flight pipelined RPC: request written, response unread."""
 
-    __slots__ = ("op", "connection", "reused", "fault", "frame", "batched")
+    op: str
+    connection: _Connection | None
+    reused: bool
+    fault: str | None
+    frame: bytes
+    batched: bool = False
+    #: The handler's reply dict, for in-process calls.
+    reply: dict[str, Any] | None = None
+
+
+#: The ``TransportError`` kind each scheduled connection fault produces.
+_FAULT_KINDS = {"refuse": "refused", "drop": "dropped",
+                "stall": "stalled", "garble": "garbled"}
+
+#: What reading a reply can raise (``socket.timeout`` is an ``OSError``).
+_READ_ERRORS = (FrameError, TornFrame, EOFError, OSError)
+
+
+def _request(op: str, payload: dict[str, Any] | None) -> dict[str, Any]:
+    return {"op": op} if payload is None else {"op": op, "payload": payload}
+
+
+class _NodeClient:
+    """What both node clients share: fault scheduling and reply unwrapping.
+
+    Subclasses provide ``address`` and the call halves ``start`` (send
+    one request) and ``finish`` (read its reply).
+    """
+
+    address: str
 
     def __init__(
-        self,
-        op: str,
-        connection: _Connection,
-        reused: bool,
-        fault: str | None,
-        frame: bytes,
-        batched: bool = False,
+        self, faults: FaultInjector | None, fault_operation: str | None,
+        metrics: Any,
     ) -> None:
-        self.op = op
-        self.connection = connection
-        self.reused = reused
-        self.fault = fault
-        self.frame = frame
-        self.batched = batched
+        self.faults = faults
+        self.fault_operation = fault_operation
+        self.metrics = metrics
+        self.calls = 0
+
+    def _inc(self, name: str, description: str, amount: float = 1.0) -> None:
+        if self.metrics is not None:
+            self.metrics.inc(name, amount=amount, description=description)
+
+    def _fail(self, kind: str, detail: str) -> TransportError:
+        self._inc("transport.errors", "Wire calls that failed")
+        if kind in _FAULT_KINDS.values():
+            self._inc(f"transport.{kind}", f"Wire calls that failed as {kind!r}")
+        return TransportError(self.address, kind, detail)
+
+    def _begin(self) -> tuple[str | None, Any]:
+        """Count one call; return ``(fault, plan)`` scheduled for it.
+
+        Faults land at 1-based call indexes of ``fault_operation``.  A
+        ``refuse`` raises here: the request never reaches the node.
+        """
+        self.calls += 1
+        fault = plan = None
+        if self.faults is not None and self.fault_operation is not None:
+            fault, plan = self.faults.connection_fault(self.fault_operation)
+        if fault is not None:
+            self.faults.record_injected(self.fault_operation)
+        self._inc("transport.requests", "Wire calls issued")
+        if fault == "refuse":
+            raise self._fail(
+                "refused", f"connection refused (injected, call #{self.calls})"
+            )
+        return fault, plan
+
+    def _result(self, message: dict[str, Any], where: str = "") -> Any:
+        """A reply's ``result``, or the :class:`TransportError` it names."""
+        if message.get("ok"):
+            return message.get("result")
+        kind = str(message.get("kind", "protocol"))
+        if kind not in _FAULT_KINDS.values():
+            kind = "protocol"
+        raise self._fail(
+            kind, where + str(message.get("error", "request rejected"))
+        )
+
+    def call(self, op: str, payload: dict[str, Any] | None = None) -> Any:
+        """One RPC: request then response; returns its ``result``.
+
+        Raises :class:`TransportError` (``kind`` names the failure mode),
+        or :class:`HandshakeFailed` for a rejected hello.
+        """
+        return self.finish(self.start(op, payload))
+
+    def call_batch(
+        self, requests: Sequence[tuple[str, dict[str, Any] | None]]
+    ) -> list[Any]:
+        """Several RPCs in one ``batch`` frame (one call index, one RTT);
+        their results in request order, raising on the first rejected."""
+        return self.finish_batch(self.start_batch(requests))
+
+    def start_batch(
+        self, requests: Sequence[tuple[str, dict[str, Any] | None]]
+    ) -> _PendingCall:
+        """Send one ``batch`` frame carrying several requests."""
+        self._inc(
+            "transport.batched_calls", "Batch frames carrying multiple requests"
+        )
+        pending = self.start("batch", {
+            "requests": [_request(op, payload) for op, payload in requests]
+        })
+        pending.batched = True
+        return pending
+
+    def finish_batch(self, pending: _PendingCall) -> list[Any]:
+        """Unwrap a ``batch`` response into per-request results."""
+        return [
+            self._result(message, f"batch item {index}: ")
+            for index, message in enumerate(
+                self.finish(pending).get("responses", [])
+            )
+        ]
 
 
-class TransportClient:
+class InProcessClient(_NodeClient):
+    """A node client that hands request dicts straight to a :class:`ShardNode`.
+
+    No socket and no JSON: :meth:`start` runs the request dict the wire
+    would carry, packed columns included, through
+    :meth:`ShardNode.execute`.  Armed faults raise the error kind the
+    TCP client would: ``refuse`` at :meth:`start`, the others at
+    :meth:`finish` (a dropped or garbled request never runs).
+    """
+
+    def __init__(
+        self, node: ShardNode, faults: FaultInjector | None = None,
+        fault_operation: str | None = None,
+    ) -> None:
+        super().__init__(faults, fault_operation, metrics=None)
+        self.node = node
+        self.address = f"in-process:{node.node_id}"
+
+    def start(
+        self, op: str, payload: dict[str, Any] | None = None
+    ) -> _PendingCall:
+        fault, _ = self._begin()
+        pending = _PendingCall(op, None, False, fault, b"")
+        if fault not in ("drop", "garble"):
+            pending.reply, _ = self.node.execute(_request(op, payload))
+        return pending
+
+    def finish(self, pending: _PendingCall) -> Any:
+        if pending.fault is not None:
+            raise self._fail(
+                _FAULT_KINDS[pending.fault],
+                f"{pending.op}: injected {pending.fault}",
+            )
+        return self._result(pending.reply)
+
+
+class TransportClient(_NodeClient):
     """A wire client for one shard node, with persistent connections.
 
     The client keeps its socket open across calls behind a small
@@ -1004,14 +1134,11 @@ class TransportClient:
         pool_size: int = 1,
         idle_timeout_s: float = 30.0,
     ) -> None:
+        super().__init__(faults, fault_operation, metrics)
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.faults = faults
-        self.fault_operation = fault_operation
-        self.metrics = metrics
         self.proto = proto
-        self.calls = 0
         self.pool = ConnectionPool(pool_size, idle_timeout_s=idle_timeout_s)
         # True when an established connection has been discarded since
         # the last connect — the next connect is then a *reconnect*.
@@ -1025,28 +1152,11 @@ class TransportClient:
         """Close every pooled connection (the client stays usable)."""
         self.pool.close_all()
 
-    def __enter__(self) -> "TransportClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _inc(self, name: str, description: str, amount: float = 1.0) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, amount=amount, description=description)
-
-    def _fail(self, kind: str, detail: str) -> TransportError:
-        self._inc("transport.errors", "Wire calls that failed")
-        counter = {
-            "refused": "transport.refused",
-            "dropped": "transport.dropped",
-            "stalled": "transport.stalled",
-            "garbled": "transport.garbled",
-        }.get(kind)
-        if counter is not None:
-            self._inc(counter, f"Wire calls that failed as {kind!r}")
-        return TransportError(self.address, kind, detail)
+    def _sent(self, data: bytes) -> None:
+        self._inc(
+            "transport.bytes_sent", "Payload bytes written to the wire",
+            amount=len(data),
+        )
 
     # -- connection management ------------------------------------------
     def _connect(self) -> _Connection:
@@ -1102,36 +1212,7 @@ class TransportClient:
         connection.close()
         self._dirty = True
 
-    def _release(self, connection: _Connection) -> None:
-        """Give a healthy connection back to the pool."""
-        if not self.pool.checkin(connection):
-            # Pool full (or pooling disabled): closing a *healthy*
-            # surplus connection is not a loss, so no dirty flag.
-            pass
-
     # -- calls ----------------------------------------------------------
-    def call(self, op: str, payload: dict[str, Any] | None = None) -> Any:
-        """One RPC: request then response (handshake only on connect).
-
-        Returns the response's ``result`` value.
-
-        Raises:
-            HandshakeFailed: Version mismatch or a rejected hello.
-            TransportError: Any socket-level or protocol failure, with
-                ``kind`` naming the failure mode.
-        """
-        return self.finish(self.start(op, payload))
-
-    def call_batch(
-        self, requests: Sequence[tuple[str, dict[str, Any] | None]]
-    ) -> list[Any]:
-        """Several RPCs in one ``batch`` frame (one call index, one RTT).
-
-        Returns the ``result`` values in request order.  Raises on the
-        first sub-request the server rejected.
-        """
-        return self.finish_batch(self.start_batch(requests))
-
     def start(
         self, op: str, payload: dict[str, Any] | None = None
     ) -> _PendingCall:
@@ -1142,27 +1223,12 @@ class TransportClient:
         with remote compute instead of serializing call-and-wait.
         Connection faults are scheduled here (the 1-based call index
         advances per started call, exactly as it did per blocking call).
+        A refused call never reaches the peer and leaves the pooled
+        connection (if any) untouched.
         """
-        self.calls += 1
-        fault = None
-        plan = None
-        if self.faults is not None and self.fault_operation is not None:
-            fault, plan = self.faults.connection_fault(self.fault_operation)
-        if fault is not None:
-            self.faults.record_injected(self.fault_operation)
-        self._inc("transport.requests", "Wire calls issued")
-
-        if fault == "refuse":
-            # Never reaches the peer — indistinguishable from a dead
-            # process as far as the caller can tell.  The pooled
-            # connection (if any) is untouched.
-            raise self._fail(
-                "refused", f"connection refused (injected, call #{self.calls})"
-            )
+        fault, plan = self._begin()
         connection, reused = self._acquire()
-        request: dict[str, Any] = {"op": op}
-        if payload is not None:
-            request["payload"] = payload
+        request = _request(op, payload)
         if fault == "stall":
             request["_stall_s"] = plan.stall_s
         frame = _encode_message(request)
@@ -1173,171 +1239,88 @@ class TransportClient:
             damaged = bytearray(frame)
             damaged[FRAME_HEADER.size] ^= 0x01
             wire = bytes(damaged)
+        elif fault == "drop":
+            # Half a frame, then a close: the server reads a torn frame,
+            # this client reads EOF where the response should be.
+            wire = frame[:max(1, len(frame) // 2)]
         pending = _PendingCall(op, connection, reused, fault, frame)
         try:
+            connection.sock.sendall(wire)
+            self._sent(wire)
             if fault == "drop":
-                # Half a frame, then a close: the server reads a torn
-                # frame, this client reads EOF where the response
-                # should be.
-                half = max(1, len(wire) // 2)
-                connection.sock.sendall(wire[:half])
-                self._inc(
-                    "transport.bytes_sent",
-                    "Payload bytes written to the wire",
-                    amount=half,
-                )
                 connection.sock.shutdown(socket.SHUT_WR)
-            else:
-                connection.sock.sendall(wire)
-                self._inc(
-                    "transport.bytes_sent",
-                    "Payload bytes written to the wire",
-                    amount=len(wire),
-                )
         except OSError as error:
             self._discard(connection)
-            if reused and fault is None:
-                # The pooled socket died between calls; one transparent
-                # reconnect-and-resend (the request never reached the
-                # peer, so the retry is safe and exact).
-                connection = self._connect()
-                pending.connection = connection
-                pending.reused = False
-                try:
-                    connection.sock.sendall(frame)
-                    self._inc(
-                        "transport.bytes_sent",
-                        "Payload bytes written to the wire",
-                        amount=len(frame),
-                    )
-                except OSError as retry_error:
-                    self._discard(connection)
-                    raise self._fail(
-                        "dropped", str(retry_error)
-                    ) from retry_error
-            else:
+            if not reused or fault is not None:
                 raise self._fail("dropped", str(error)) from error
-        return pending
-
-    def start_batch(
-        self, requests: Sequence[tuple[str, dict[str, Any] | None]]
-    ) -> _PendingCall:
-        """Write one ``batch`` frame carrying several requests."""
-        wrapped = []
-        for op, payload in requests:
-            request: dict[str, Any] = {"op": op}
-            if payload is not None:
-                request["payload"] = payload
-            wrapped.append(request)
-        self._inc(
-            "transport.batched_calls",
-            "Batch frames carrying multiple requests",
-        )
-        pending = self.start("batch", {"requests": wrapped})
-        pending.batched = True
+            # The pooled socket died between calls; one transparent
+            # reconnect-and-resend (the request never reached the peer,
+            # so the retry is safe and exact).
+            self._resend(pending)
         return pending
 
     def finish(self, pending: _PendingCall) -> Any:
         """Read one started call's response; recycle the connection."""
         connection = pending.connection
         try:
-            payload = read_frame(connection.rfile)
-        except socket.timeout as error:
+            message = self._read(connection.rfile)
+        except _READ_ERRORS as error:
             self._discard(connection)
-            raise self._fail(
-                "stalled", f"no response within {self.timeout_s}s"
-            ) from error
-        except FrameError as error:
-            self._discard(connection)
-            raise self._fail("garbled", str(error)) from error
-        except (TornFrame, OSError) as error:
-            self._discard(connection)
-            if pending.reused and pending.fault is None:
-                return self._finish_retry(pending)
-            raise self._fail("dropped", str(error)) from error
-        if payload is None:
-            self._discard(connection)
-            if pending.reused and pending.fault is None:
-                return self._finish_retry(pending)
-            raise self._fail("dropped", "connection closed before the response")
-        self._inc(
-            "transport.bytes_received", "Payload bytes read from the wire",
-            amount=len(payload),
-        )
-        message = json.loads(payload.decode("utf-8"))
-        if message.get("ok"):
-            self._release(connection)
-            return message.get("result")
-        kind = str(message.get("kind", "protocol"))
-        detail = str(message.get("error", "request rejected"))
-        if kind not in ("refused", "dropped", "stalled", "garbled"):
-            kind = "protocol"
-        if kind == "garbled":
+            lost = not isinstance(error, (socket.timeout, FrameError))
+            if lost and pending.reused and pending.fault is None:
+                # The pooled socket died between calls: resend once.
+                self._resend(pending)
+                return self.finish(pending)
+            raise self._read_error(error, "response") from error
+        if message.get("kind") == "garbled":
             # The server closes the connection after rejecting a frame;
             # reusing it would read EOF on the next call.
             self._discard(connection)
         else:
-            self._release(connection)
-        raise self._fail(kind, detail)
+            # Back to the pool; a full pool closes it, which is no loss
+            # for a healthy connection, so no dirty flag.
+            self.pool.checkin(connection)
+        return self._result(message)
 
-    def finish_batch(self, pending: _PendingCall) -> list[Any]:
-        """Unwrap a ``batch`` response into per-request results."""
-        result = self.finish(pending)
-        results: list[Any] = []
-        for index, message in enumerate(result.get("responses", [])):
-            if not message.get("ok"):
-                kind = str(message.get("kind", "protocol"))
-                if kind not in ("refused", "dropped", "stalled", "garbled"):
-                    kind = "protocol"
-                raise self._fail(
-                    kind,
-                    f"batch item {index}: "
-                    f"{message.get('error', 'request rejected')}",
-                )
-            results.append(message.get("result"))
-        return results
-
-    def _finish_retry(self, pending: _PendingCall) -> Any:
-        """Resend a clean call whose reused connection turned out dead."""
+    def _resend(self, pending: _PendingCall) -> None:
+        """Send ``pending``'s request again on a fresh connection."""
         connection = self._connect()
         try:
             connection.sock.sendall(pending.frame)
-            self._inc(
-                "transport.bytes_sent", "Payload bytes written to the wire",
-                amount=len(pending.frame),
-            )
+            self._sent(pending.frame)
         except OSError as error:
             self._discard(connection)
             raise self._fail("dropped", str(error)) from error
         pending.connection = connection
         pending.reused = False
-        return self.finish(pending)
 
     # ------------------------------------------------------------------
-    def _handshake(self, sock: socket.socket, rfile: Any) -> None:
-        hello = _encode_message({"op": "hello", "proto": self.proto})
-        sock.sendall(hello)
-        self._inc(
-            "transport.bytes_sent", "Payload bytes written to the wire",
-            amount=len(hello),
-        )
-        try:
-            payload = read_frame(rfile)
-        except socket.timeout as error:
-            raise self._fail(
-                "stalled", f"no handshake within {self.timeout_s}s"
-            ) from error
-        except (TornFrame, OSError) as error:
-            raise self._fail("dropped", f"handshake: {error}") from error
-        except FrameError as error:
-            raise self._fail("garbled", f"handshake: {error}") from error
+    def _read(self, rfile: Any) -> dict[str, Any]:
+        """The next reply message (``EOFError`` on a clean close)."""
+        payload = read_frame(rfile)
         if payload is None:
-            raise self._fail("dropped", "connection closed during handshake")
+            raise EOFError("connection closed")
         self._inc(
             "transport.bytes_received", "Payload bytes read from the wire",
             amount=len(payload),
         )
-        message = json.loads(payload.decode("utf-8"))
+        return json.loads(payload.decode("utf-8"))
+
+    def _read_error(self, error: BaseException, what: str) -> TransportError:
+        """The :class:`TransportError` for a failed :meth:`_read`."""
+        if isinstance(error, socket.timeout):
+            return self._fail("stalled", f"no {what} within {self.timeout_s}s")
+        kind = "garbled" if isinstance(error, FrameError) else "dropped"
+        return self._fail(kind, f"{what}: {error}")
+
+    def _handshake(self, sock: socket.socket, rfile: Any) -> None:
+        hello = _encode_message({"op": "hello", "proto": self.proto})
+        sock.sendall(hello)
+        self._sent(hello)
+        try:
+            message = self._read(rfile)
+        except _READ_ERRORS as error:
+            raise self._read_error(error, "handshake") from error
         if not message.get("ok"):
             self._inc("transport.errors", "Wire calls that failed")
             raise HandshakeFailed(
@@ -1347,20 +1330,19 @@ class TransportClient:
 
 
 # ----------------------------------------------------------------------
-# Remote data node (the coordinator-facing adapter)
+# Data node (the coordinator-facing adapter)
 # ----------------------------------------------------------------------
 class RemoteDataNode:
-    """A :class:`~repro.distributed.nodes.DataNode` twin over the wire.
+    """The coordinator's view of one data node.
 
-    Duck-types the coordinator's node contract (``node_id`` /
-    ``healthy`` / ``trajectories`` / ``ingest`` / ``kill`` / ``revive``
-    / ``preprocess_batch``) while the actual Phase 1 runs in a shard
-    process reached through ``client``.  ``kill`` marks this *stub* dead
-    (the coordinator's view); the process itself lives and dies on its
-    own.
+    Holds the node's shard and liveness flag, and runs Phase 1 and
+    Phase 3 distances on the shard node behind ``client`` (a
+    :class:`TransportClient` or an :class:`InProcessClient`), each call
+    split into ``start_*`` / ``finish_*`` halves for pipelining.
+    ``kill`` marks this *stub* dead; a shard process lives on its own.
     """
 
-    def __init__(self, node_id: int, client: TransportClient) -> None:
+    def __init__(self, node_id: int, client: _NodeClient) -> None:
         self.node_id = node_id
         self.client = client
         self.healthy = True
@@ -1388,7 +1370,7 @@ class RemoteDataNode:
         trajectories: Sequence[Trajectory],
         keep_interior_points: bool = False,
     ) -> list[BaseCluster]:
-        """Phase 1 over ``trajectories``, executed in the shard process."""
+        """Phase 1 over ``trajectories``, executed on the shard node."""
         return self.finish_preprocess(
             self.start_preprocess(trajectories, keep_interior_points)
         )
@@ -1431,14 +1413,6 @@ class RemoteDataNode:
     #: enough that a single reply frame stays in the low megabytes, large
     #: enough that the per-message overhead is noise.
     DISTANCE_CHUNK = 2048
-
-    def distances(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        cutoff: float | None = None,
-    ) -> tuple[list[float | None], int]:
-        """Eps-bounded distances computed against the shard's engine."""
-        return self.finish_distances(self.start_distances(pairs, cutoff))
 
     def start_distances(
         self,

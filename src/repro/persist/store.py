@@ -26,12 +26,11 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .. import framing
 from ..errors import CorruptSnapshot, TornWrite
 from ..obs import get_logger
 
@@ -41,9 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _log = get_logger("persist.store")
 
-#: Frame header: magic (4) | payload length u32 BE (4) | crc32 u32 BE (4).
+#: Journal frame magic (the header layout is :mod:`repro.framing`'s).
 FRAME_MAGIC = b"RPF1"
-FRAME_HEADER = struct.Struct(">4sII")
 
 #: Snapshot envelope: magic line, hex length line, sha256 line, payload.
 SNAPSHOT_MAGIC = b"RPSNAP1\n"
@@ -107,10 +105,7 @@ def _fsync_directory(directory: Path) -> None:
 # ----------------------------------------------------------------------
 def encode_frame(payload: bytes) -> bytes:
     """``payload`` wrapped in the ``magic | length | crc32`` header."""
-    return (
-        FRAME_HEADER.pack(FRAME_MAGIC, len(payload), zlib.crc32(payload))
-        + payload
-    )
+    return framing.encode(FRAME_MAGIC, payload)
 
 
 @dataclass
@@ -142,25 +137,23 @@ def scan_frames(data: bytes, source: str | Path = "<memory>") -> FrameScan:
     scan = FrameScan()
     offset = 0
     total = len(data)
+    header = framing.HEADER.size
     while offset < total:
-        remaining = total - offset
-        if remaining < FRAME_HEADER.size:
+        if total - offset < header:
             scan.torn = True
             break
-        magic, length, crc = FRAME_HEADER.unpack_from(data, offset)
-        if magic != FRAME_MAGIC:
+        try:
+            length, crc = framing.check_header(data, offset, FRAME_MAGIC)
+            start = offset + header
+            if total - start < length:
+                scan.torn = True
+                break
+            payload = data[start:start + length]
+            framing.check_crc(payload, crc)
+        except framing.BadFrame as error:
             raise CorruptSnapshot(
-                source, f"bad frame magic at offset {offset}"
-            )
-        start = offset + FRAME_HEADER.size
-        if total - start < length:
-            scan.torn = True
-            break
-        payload = data[start:start + length]
-        if zlib.crc32(payload) != crc:
-            raise CorruptSnapshot(
-                source, f"frame CRC mismatch at offset {offset}"
-            )
+                source, f"frame {error} at offset {offset}"
+            ) from None
         scan.payloads.append(payload)
         offset = start + length
         scan.good_bytes = offset

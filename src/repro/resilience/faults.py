@@ -114,9 +114,10 @@ class FaultPlan:
 
         Returns ``"refuse"``, ``"drop"``, ``"stall"`` or ``"garble"``
         (checked in that order when a call index appears in several
-        schedules), or ``None`` for a clean call.
+        schedules), or ``None`` for a clean call.  A ``fail_nth`` or
+        ``kill_from`` call is a ``"refuse"``: the node never answers it.
         """
-        if call_index in self.refuse_nth:
+        if call_index in self.refuse_nth or self.should_fail(call_index):
             return "refuse"
         if call_index in self.drop_nth:
             return "drop"
@@ -125,12 +126,6 @@ class FaultPlan:
         if call_index in self.garble_nth:
             return "garble"
         return None
-
-    def has_connection_faults(self) -> bool:
-        """Whether any connection-fault schedule is non-empty."""
-        return bool(
-            self.refuse_nth or self.drop_nth or self.stall_nth or self.garble_nth
-        )
 
     def corrupt(self, result: Any) -> Any:
         """The corrupted form of ``result``."""

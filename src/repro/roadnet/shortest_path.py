@@ -506,27 +506,15 @@ class ShortestPathEngine:
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
-    def prefetch(
+    def unknown_pairs(
         self,
         pairs: Iterable[tuple[int, int]],
         cutoff: float | None = None,
-        workers: int | None = 1,
-    ) -> int:
-        """Compute and cache every not-yet-known pair, possibly in parallel.
+    ) -> list[tuple[int, int]]:
+        """The distinct normalized pairs neither memo table answers yet.
 
-        Deduplicates ``pairs`` (after symmetric normalization), drops
-        identities and pairs already answered by the exact or bounded
-        cache, then runs the remaining searches — fanned out over a
-        process pool when ``workers`` allows (see
-        :func:`repro.parallel.map_chunked`).  Results and the
-        ``computations``/``nodes_expanded`` counters merge back into this
-        engine exactly as if :meth:`distance` had computed each pair
-        lazily, and the next :meth:`distance` call per prefetched pair is
-        counted as that computation's delivery rather than a cache hit —
-        so Figure-7 accounting is identical between serial and parallel
-        runs.
-
-        Returns the number of searches executed.
+        In first-seen order, without identities, exact cache hits and
+        (under ``cutoff``) pairs already proven farther than ``cutoff``.
         """
         needed: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
@@ -540,6 +528,29 @@ class ShortestPathEngine:
                 continue
             seen.add(key)
             needed.append(key)
+        return needed
+
+    def prefetch(
+        self,
+        pairs: Iterable[tuple[int, int]],
+        cutoff: float | None = None,
+        workers: int | None = 1,
+    ) -> int:
+        """Compute and cache every not-yet-known pair, possibly in parallel.
+
+        Runs one search per pair of :meth:`unknown_pairs` — fanned out
+        over a process pool when ``workers`` allows (see
+        :func:`repro.parallel.map_chunked`).  Results and the
+        ``computations``/``nodes_expanded`` counters merge back into this
+        engine exactly as if :meth:`distance` had computed each pair
+        lazily, and the next :meth:`distance` call per prefetched pair is
+        counted as that computation's delivery rather than a cache hit —
+        so Figure-7 accounting is identical between serial and parallel
+        runs.
+
+        Returns the number of searches executed.
+        """
+        needed = self.unknown_pairs(pairs, cutoff)
         if not needed:
             return 0
         limit = INFINITY if cutoff is None else cutoff
@@ -562,9 +573,7 @@ class ShortestPathEngine:
         """Warm the cache via batched multi-target single-source kernels.
 
         The tiered-oracle replacement for per-pair :meth:`prefetch`:
-        after the same deduplication (symmetric normalization, identity
-        and already-cached pairs dropped), the surviving pairs are
-        grouped by :func:`plan_source_groups` and each group runs one
+        the :meth:`unknown_pairs` are grouped by :func:`plan_source_groups` and each group runs one
         eps-bounded single-source search with an early-exit target set —
         ``O(distinct endpoints)`` searches instead of one per pair.  Each
         kernel run counts once in ``computations`` (its settled nodes in
@@ -575,18 +584,7 @@ class ShortestPathEngine:
 
         Returns the number of searches executed.
         """
-        needed: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for source, target in pairs:
-            if source == target:
-                continue
-            key = self._key(source, target)
-            if key in seen or key in self._cache:
-                continue
-            if cutoff is not None and self._bounded.get(key, -1.0) >= cutoff:
-                continue
-            seen.add(key)
-            needed.append(key)
+        needed = self.unknown_pairs(pairs, cutoff)
         if not needed:
             return 0
         if self.oracle is not None:

@@ -12,6 +12,7 @@ be checked against something simpler than itself:
 
 from __future__ import annotations
 
+import json
 from unittest import mock
 
 import pytest
@@ -52,6 +53,15 @@ def dijkstra_reference_engine(network: RoadNetwork) -> ShortestPathEngine:
     is the plain-Dijkstra reference for cluster output.
     """
     return ShortestPathEngine(network, oracle=_DijkstraOracle(network))
+
+
+def wire_document(result, network: RoadNetwork) -> str:
+    """``result``'s canonical wire document, for byte-identity checks."""
+    from repro.core.serialize import result_to_dict
+
+    return json.dumps(
+        result_to_dict(result, network_name=network.name), sort_keys=True
+    )
 
 
 def trajectory_through(

@@ -8,13 +8,17 @@ from repro.core.base_cluster import form_base_clusters
 from repro.core.config import NEATConfig
 from repro.core.pipeline import NEAT
 from repro.distributed import (
-    DataNode,
+    InProcessClient,
     NeatCoordinator,
+    RemoteDataNode,
+    ShardNode,
     merge_base_clusters,
     shard_round_robin,
 )
+from repro.obs import Telemetry
+from repro.resilience import FaultPlan
 
-from conftest import trajectory_through
+from conftest import trajectory_through, wire_document
 
 
 class TestSharding:
@@ -62,12 +66,14 @@ class TestMerge:
         assert merge_base_clusters([]) == []
 
 
-class TestDataNode:
+class TestInProcessNode:
     def test_preprocess_local_shard(self, line3):
-        node = DataNode(0, line3)
+        shard = ShardNode(line3)
+        node = RemoteDataNode(0, InProcessClient(shard))
         node.ingest([trajectory_through(line3, i, [0, 1]) for i in range(3)])
-        clusters = node.preprocess()
+        clusters = node.preprocess_batch(node.trajectories)
         assert {c.sid for c in clusters} == {0, 1}
+        assert shard.stats()["trajectories_processed"] == 3
 
 
 class TestCoordinator:
@@ -141,6 +147,60 @@ class TestCoordinator:
         ).run([], mode="base")
         assert result.base_clusters == []
         assert result.dropped_shards == []
+
+
+class TestInProcessPhase3:
+    """``remote_phase3`` over in-process nodes: the shard op handler
+    answers the distance slices, no process or socket involved."""
+
+    @staticmethod
+    def run(workload, node_count, plan=None):
+        network, dataset = workload
+        telemetry = Telemetry.create()
+        coordinator = NeatCoordinator(
+            network, NEATConfig(eps=6500.0), node_count=node_count,
+            telemetry=telemetry, remote_phase3=True,
+        )
+        if plan is not None:
+            coordinator.nodes[0].client.faults.arm("transport.node0", plan)
+        result = coordinator.run(list(dataset), mode="opt")
+        return result, telemetry.metrics, coordinator.engine
+
+    @staticmethod
+    def serial(workload):
+        network, dataset = workload
+        return NEAT(network, NEATConfig(eps=6500.0)).run(list(dataset), mode="opt")
+
+    @staticmethod
+    def searches(result):
+        return result.refinement_stats.shortest_path_computations
+
+    def test_matches_serial(self, small_workload):
+        network = small_workload[0]
+        serial = self.serial(small_workload)
+        result, metrics, engine = self.run(small_workload, 1)
+        assert wire_document(result, network) == wire_document(serial, network)
+        assert self.searches(result) == self.searches(serial)
+        assert metrics.value("coordinator.phase3_remote_pairs") > 0
+        assert engine.computations == 0  # nothing ran locally
+
+    @pytest.mark.parametrize("node_count", [1, 3])
+    def test_failed_slice_falls_back_locally(self, small_workload, node_count):
+        network = small_workload[0]
+        reference = wire_document(self.serial(small_workload), network)
+        clean, _, clean_engine = self.run(small_workload, node_count)
+        # Call 1 is node 0's preprocess; calls 2 and 3 are its pipelined
+        # and blocking distances calls.
+        result, metrics, engine = self.run(
+            small_workload, node_count, FaultPlan(kill_from=2)
+        )
+        assert wire_document(clean, network) == reference
+        assert wire_document(result, network) == reference
+        assert metrics.value("coordinator.phase3_local_fallbacks") == 1
+        assert clean_engine.computations == 0 < engine.computations
+        # Contiguous pair slices can split one grouped search across
+        # nodes, so only the fault-free count is the reference here.
+        assert self.searches(result) == self.searches(clean)
 
 
 class TestAltEngineIntegration:

@@ -22,7 +22,6 @@ import pytest
 from repro.cli import main
 from repro.core.config import NEATConfig
 from repro.core.pipeline import NEAT
-from repro.core.serialize import result_to_dict
 from repro.distributed import (
     NeatCoordinator,
     RegionShardMap,
@@ -36,6 +35,8 @@ from repro.mobisim.io import save_dataset
 from repro.mobisim.simulator import SimulationConfig, simulate_dataset
 from repro.roadnet.generators import atlanta_like
 from repro.roadnet.io import save_network
+
+from conftest import wire_document
 
 SRC_ROOT = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -62,9 +63,7 @@ def workload(tmp_path_factory):
     save_network(network, network_path)
     save_dataset(dataset, traces_path)
     serial = NEAT(network, NEATConfig()).run(list(dataset), mode="opt")
-    reference = json.dumps(
-        result_to_dict(serial, network_name=network.name), sort_keys=True
-    )
+    reference = wire_document(serial, network)
     return {
         "network": network,
         "trajectories": list(dataset),
@@ -150,10 +149,7 @@ class TestKilledShardMidRun:
                 network, NEATConfig(), nodes=nodes, shardmap=shardmap,
             )
             result = coordinator.run(workload["trajectories"], mode="opt")
-            document = json.dumps(
-                result_to_dict(result, network_name=network.name),
-                sort_keys=True,
-            )
+            document = wire_document(result, network)
             assert kills["count"] == 1
             assert not shards[1].alive
             assert document == workload["reference"]

@@ -56,6 +56,11 @@ class FakeClock:
 NO_BACKOFF = RetryPolicy(max_retries=0, base_delay_s=0.0, jitter=0.0)
 
 
+def arm(node, plan):
+    """Arm ``plan`` on an in-process node's ``transport.node{id}`` point."""
+    node.client.faults.arm(f"transport.node{node.node_id}", plan)
+
+
 def line_batch(network, start_trid, count=3, sids=(0, 1, 2)):
     return [
         trajectory_through(network, start_trid + i, list(sids))
@@ -78,7 +83,7 @@ class TestCoordinatorFaults:
             network, config, node_count=4,
             retry_policy=NO_BACKOFF, telemetry=telemetry, redispatch=False,
         )
-        coordinator.nodes[0].fault_plan = FaultPlan(fail_nth=1)
+        arm(coordinator.nodes[0], FaultPlan(fail_nth=1))
 
         result = coordinator.run(trajectories, mode="opt")
 
@@ -103,7 +108,7 @@ class TestCoordinatorFaults:
         coordinator = NeatCoordinator(
             network, config, node_count=4, telemetry=telemetry
         )
-        coordinator.nodes[0].fault_plan = FaultPlan(fail_nth=1)
+        arm(coordinator.nodes[0], FaultPlan(fail_nth=1))
 
         result = coordinator.run(trajectories, mode="opt")
 
@@ -124,7 +129,7 @@ class TestCoordinatorFaults:
         coordinator = NeatCoordinator(
             network, config, node_count=4, telemetry=telemetry, redispatch=True
         )
-        coordinator.nodes[0].fault_plan = FaultPlan(kill_from=1)
+        arm(coordinator.nodes[0], FaultPlan(kill_from=1))
 
         result = coordinator.run(trajectories, mode="opt")
 
@@ -143,7 +148,7 @@ class TestCoordinatorFaults:
             retry_policy=NO_BACKOFF, min_quorum=0.5,
         )
         for node in coordinator.nodes:
-            node.fault_plan = FaultPlan(kill_from=1)
+            arm(node, FaultPlan(kill_from=1))
         with pytest.raises(QuorumLost):
             coordinator.run(trajectories, mode="base")
 
@@ -154,7 +159,7 @@ class TestCoordinatorFaults:
             retry_policy=NO_BACKOFF,
         )
         for node in coordinator.nodes:
-            node.fault_plan = FaultPlan(kill_from=1)
+            arm(node, FaultPlan(kill_from=1))
         result = coordinator.run(trajectories, mode="base")
         assert result.base_clusters == []
         assert result.dropped_shards == [0, 1]
@@ -164,9 +169,9 @@ class TestCoordinatorFaults:
         node = coordinator.nodes[0]
         node.kill()
         with pytest.raises(NodeDown):
-            node.preprocess()
+            node.preprocess_batch(node.trajectories)
         node.revive()
-        assert node.preprocess() == []
+        assert node.preprocess_batch(node.trajectories) == []
 
     def test_dropped_shards_in_wire_format(self, small_workload):
         from repro.core.serialize import result_to_dict
@@ -177,7 +182,7 @@ class TestCoordinatorFaults:
             network, NEATConfig(eps=500.0), node_count=4,
             retry_policy=NO_BACKOFF, redispatch=False,
         )
-        coordinator.nodes[2].fault_plan = FaultPlan(kill_from=1)
+        arm(coordinator.nodes[2], FaultPlan(kill_from=1))
         result = coordinator.run(trajectories, mode="opt")
         document = result_to_dict(result, network_name=network.name)
         assert document["dropped_shards"] == [2]
@@ -418,7 +423,7 @@ class TestDeterminism:
             ),
             telemetry=telemetry, redispatch=True,
         )
-        coordinator.nodes[1].fault_plan = FaultPlan(kill_from=1)
+        arm(coordinator.nodes[1], FaultPlan(kill_from=1))
         result = coordinator.run(trajectories, mode="opt")
         counters = telemetry.metrics.as_dict()["counters"]
         return json.dumps(counters, sort_keys=True), [

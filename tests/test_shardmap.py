@@ -8,14 +8,12 @@ coordinator running over a region shard map byte-identically to serial.
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
 from repro.core.base_cluster import form_base_clusters
 from repro.core.config import NEATConfig
 from repro.core.pipeline import NEAT
-from repro.core.serialize import result_to_dict
 from repro.distributed import (
     HashRing,
     NeatCoordinator,
@@ -24,7 +22,7 @@ from repro.distributed import (
 )
 from repro.errors import ConfigError
 
-from conftest import trajectory_through
+from conftest import trajectory_through, wire_document
 
 
 class TestHashRing:
@@ -164,19 +162,14 @@ class TestCoordinatorWithShardMap:
         trajectories = list(dataset)
         config = NEATConfig(eps=500.0)
         serial = NEAT(network, config).run(trajectories, mode="opt")
-        reference = json.dumps(
-            result_to_dict(serial, network_name=network.name), sort_keys=True
-        )
+        reference = wire_document(serial, network)
         for node_count in (1, 2, 4):
             coordinator = NeatCoordinator(
                 network, config, node_count=node_count,
                 shardmap=RegionShardMap(network, range(node_count)),
             )
             result = coordinator.run(trajectories, mode="opt")
-            document = json.dumps(
-                result_to_dict(result, network_name=network.name),
-                sort_keys=True,
-            )
+            document = wire_document(result, network)
             assert document == reference, f"{node_count} nodes diverged"
 
     def test_boundary_segments_counted(self, small_workload):

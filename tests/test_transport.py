@@ -12,17 +12,17 @@ remote-node coordinator run against the serial pipeline.
 from __future__ import annotations
 
 import io
-import json
 
 import pytest
 
 from repro.core.config import NEATConfig
 from repro.core.pipeline import NEAT
-from repro.core.serialize import result_to_dict
 from repro.distributed import (
+    InProcessClient,
     NeatCoordinator,
     RegionShardMap,
     RemoteDataNode,
+    ShardNode,
     ShardNodeServer,
     TransportClient,
 )
@@ -39,9 +39,10 @@ from repro.distributed.transport import (
 )
 from repro.errors import HandshakeFailed, NodeDown, TransportError
 from repro.obs import Telemetry
+from repro.persist.store import encode_frame as encode_journal_frame
 from repro.resilience import FaultInjector, FaultPlan
 
-from conftest import trajectory_through
+from conftest import trajectory_through, wire_document
 
 
 # ----------------------------------------------------------------------
@@ -51,6 +52,16 @@ class TestFrameCodec:
     def test_roundtrip(self):
         for payload in (b"", b"x", b'{"op": "ping"}', bytes(range(256))):
             assert decode_frame(encode_frame(payload)) == payload
+
+    @pytest.mark.parametrize("encode, expected", [
+        (encode_frame, "52505731" "0000000d" "f369e448"),
+        (encode_journal_frame, "52504631" "0000000d" "f369e448"),
+    ])
+    def test_frame_bytes_are_pinned(self, encode, expected):
+        # Wire (RPW1) and journal (RPF1) frames share one codec: only the
+        # magic differs, and neither may drift.
+        payload = b'{"op":"ping"}'
+        assert encode(payload).hex() == expected + payload.hex()
 
     def test_read_frame_stream(self):
         stream = io.BytesIO(encode_frame(b"one") + encode_frame(b"two"))
@@ -175,9 +186,13 @@ class TestShardRPC:
 # ----------------------------------------------------------------------
 # Scheduled connection faults — organic, deterministic, counted
 # ----------------------------------------------------------------------
-def chaos_client(shard, plan: FaultPlan, metrics=None, timeout_s: float = 5.0):
+def chaos_client(shard, plan: FaultPlan, metrics=None, timeout_s: float = 5.0,
+                 in_process: bool = False):
     faults = FaultInjector()
     faults.arm("transport.node0", plan)
+    if in_process:  # the same shard's ops, without the socket
+        node = ShardNode(shard.network)
+        return InProcessClient(node, faults, "transport.node0"), faults
     return TransportClient(
         shard.host, shard.port, timeout_s=timeout_s,
         faults=faults, fault_operation="transport.node0", metrics=metrics,
@@ -226,23 +241,27 @@ class TestConnectionFaults:
         plan = FaultPlan(refuse_nth=1, drop_nth=3, stall_nth=5,
                          garble_nth=7, stall_s=2.0)
 
+        def outcomes(client) -> list[str]:
+            kinds = []
+            for _ in range(8):
+                try:
+                    client.call("ping")
+                    kinds.append("ok")
+                except TransportError as error:
+                    kinds.append(error.kind)
+            return kinds
+
         def run_schedule() -> dict[str, float]:
             telemetry = Telemetry.create()
             client, _ = chaos_client(
                 shard, plan, metrics=telemetry.metrics, timeout_s=0.3
             )
-            outcomes = []
-            for _ in range(8):
-                try:
-                    client.call("ping")
-                    outcomes.append("ok")
-                except TransportError as error:
-                    outcomes.append(error.kind)
+            kinds = outcomes(client)
             counters = {
                 inst.name: inst.value
                 for inst in telemetry.metrics if inst.kind == "counter"
             }
-            return outcomes, counters
+            return kinds, counters
 
         first_outcomes, first = run_schedule()
         second_outcomes, second = run_schedule()
@@ -250,6 +269,9 @@ class TestConnectionFaults:
             "refused", "ok", "dropped", "ok", "stalled", "ok", "garbled", "ok",
         ]
         assert first_outcomes == second_outcomes
+        # The in-process client raises the same kinds at the same calls.
+        local, _ = chaos_client(shard, plan, in_process=True)
+        assert outcomes(local) == first_outcomes
         assert first == second
         assert first["transport.requests"] == 8
         assert first["transport.errors"] == 4
@@ -270,13 +292,34 @@ class TestRemoteCoordinator:
         node.revive()
         assert node.preprocess_batch([]) == []
 
+    @pytest.mark.parametrize("wire", ["tcp", "in-process"])
+    def test_refused_node_gets_max_retries_plus_one_calls(
+        self, line3, shard, wire
+    ):
+        # The pipelined first attempt is the retry policy's first
+        # attempt: max_retries=2 means 3 calls and 2 retries in total.
+        client, _ = chaos_client(
+            shard, FaultPlan(refuse_nth=range(1, 10)),
+            in_process=wire == "in-process",
+        )
+        telemetry = Telemetry.create()
+        coordinator = NeatCoordinator(
+            line3, NEATConfig(min_card=0, max_retries=2),
+            nodes=[RemoteDataNode(0, client)], telemetry=telemetry,
+        )
+        result = coordinator.run(
+            [trajectory_through(line3, 0, [0, 1, 2])], mode="base"
+        )
+        assert result.dropped_shards == [0]
+        assert client.calls == 3
+        assert telemetry.metrics.value("resilience.retries") == 2
+        assert telemetry.metrics.value("resilience.node_failures") == 1
+
     def test_remote_run_byte_identical_to_serial(self, small_workload):
         network, dataset = small_workload
         trajectories = list(dataset)
         serial = NEAT(network, NEATConfig()).run(trajectories, mode="opt")
-        reference = json.dumps(
-            result_to_dict(serial, network_name=network.name), sort_keys=True
-        )
+        reference = wire_document(serial, network)
 
         servers = [ShardNodeServer(network, node_id=i).start() for i in range(3)]
         try:
@@ -289,9 +332,7 @@ class TestRemoteCoordinator:
                 shardmap=RegionShardMap(network, [0, 1, 2]),
             )
             result = coordinator.run(trajectories, mode="opt")
-            document = json.dumps(
-                result_to_dict(result, network_name=network.name), sort_keys=True
-            )
+            document = wire_document(result, network)
         finally:
             for server in servers:
                 server.stop()
@@ -303,9 +344,7 @@ class TestRemoteCoordinator:
         network, dataset = small_workload
         trajectories = list(dataset)
         serial = NEAT(network, NEATConfig()).run(trajectories, mode="opt")
-        reference = json.dumps(
-            result_to_dict(serial, network_name=network.name), sort_keys=True
-        )
+        reference = wire_document(serial, network)
 
         faults = FaultInjector()
         faults.arm("transport.node0", FaultPlan(refuse_nth=1))
@@ -324,9 +363,7 @@ class TestRemoteCoordinator:
                 shardmap=RegionShardMap(network, [0, 1]),
             )
             result = coordinator.run(trajectories, mode="opt")
-            document = json.dumps(
-                result_to_dict(result, network_name=network.name), sort_keys=True
-            )
+            document = wire_document(result, network)
         finally:
             for server in servers:
                 server.stop()

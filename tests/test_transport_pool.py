@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import base64
 import io
-import json
 import time
 from array import array
 
@@ -25,7 +24,6 @@ import pytest
 from repro.core.base_cluster import form_base_clusters
 from repro.core.config import NEATConfig
 from repro.core.pipeline import NEAT
-from repro.core.serialize import result_to_dict
 from repro.distributed import (
     ConnectionPool,
     NeatCoordinator,
@@ -48,7 +46,7 @@ from repro.resilience import FaultInjector, FaultPlan
 from repro.roadnet.io import save_network
 from repro.roadnet.shortest_path import INFINITY, ShortestPathEngine
 
-from conftest import trajectory_through
+from conftest import trajectory_through, wire_document
 
 
 @pytest.fixture
@@ -528,9 +526,7 @@ class TestRemotePhase3Pooled:
         trajectories = list(dataset)
         config = NEATConfig(eps=6500.0)
         serial = NEAT(network, config).run(trajectories, mode="opt")
-        reference = json.dumps(
-            result_to_dict(serial, network_name=network.name), sort_keys=True
-        )
+        reference = wire_document(serial, network)
 
         telemetry = Telemetry()
         servers = [ShardNodeServer(network, node_id=i).start() for i in range(3)]
@@ -547,9 +543,7 @@ class TestRemotePhase3Pooled:
                 telemetry=telemetry, remote_phase3=True,
             )
             result = coordinator.run(trajectories, mode="opt")
-            document = json.dumps(
-                result_to_dict(result, network_name=network.name), sort_keys=True
-            )
+            document = wire_document(result, network)
         finally:
             for node in nodes:
                 node.client.close()
