@@ -167,29 +167,55 @@ def landmark_lower_bound(
     return max(forward, backward)
 
 
-def _surviving_endpoint_pairs(
+def prune_masks(
     network: RoadNetwork,
     flow_list: Sequence[FlowCluster],
-    eps: float,
-    use_elb: bool,
-    llb=None,
-    elb_mask: bytearray | None = None,
-    llb_mask: bytearray | None = None,
+    config: NEATConfig,
+    engine: ShortestPathEngine,
+) -> tuple[bytearray | None, bytearray | None]:
+    """Phase 3's ELB and LLB prune masks (``None`` where a tier is off).
+
+    The one place Phase 3's prune decisions are made: region queries,
+    the prefetch enumeration and the coordinator's remote prefetch all
+    index these masks, so the pairs they search cannot drift apart.
+    ``mask[i * n + j] == 1`` means pair ``(i, j)`` is provably farther
+    than ``eps`` (see :func:`repro.core.bounds.elb_far_mask` and
+    :func:`~repro.core.bounds.llb_far_mask`; numpy-accelerated when
+    available, with identical decisions either way).  Landmark tables
+    are engine-memoized per network version; the sweeps run outside the
+    Figure-7 counters (bounds are free at query time, like the
+    Euclidean bound).
+    """
+    from ..vec import resolve_vector_backend
+    from .bounds import elb_far_mask, llb_far_mask
+
+    backend = resolve_vector_backend(config.vector_backend)
+    elb_mask = (
+        elb_far_mask(network, flow_list, config.eps, backend)
+        if config.use_elb
+        else None
+    )
+    llb_mask = None
+    if config.use_llb and not engine.directed:
+        llb = engine.landmark_bounds(config.llb_landmarks)
+        llb_mask = llb_far_mask(llb, flow_list, config.eps, backend)
+    return elb_mask, llb_mask
+
+
+def _surviving_endpoint_pairs(
+    flow_list: Sequence[FlowCluster],
+    elb_mask: bytearray | None,
+    llb_mask: bytearray | None,
 ) -> list[tuple[int, int]]:
     """Endpoint node pairs the region queries will ask the engine for.
 
-    Enumerates unordered flow pairs that survive the lower-bound tiers
-    (Euclidean, then optionally the landmark bound — exactly the pairs
-    whose modified Hausdorff distance Phase 3 must evaluate) and expands
-    each into its endpoint-junction pairs, in deterministic order.
-    Pairs are deduplicated after symmetric normalization and ``(n, n)``
-    identities are dropped, so the payload shipped to worker processes
-    (and the grouped planner's input) carries each distinct query once.
-
-    When precomputed ``n x n`` prune masks are given
-    (:func:`repro.core.bounds.elb_far_mask` /
-    :func:`~repro.core.bounds.llb_far_mask`) they replace the scalar
-    bound evaluations — the masks encode the same decisions, batched.
+    Enumerates unordered flow pairs that survive the :func:`prune_masks`
+    tiers (exactly the pairs whose modified Hausdorff distance Phase 3
+    must evaluate) and expands each into its endpoint-junction pairs, in
+    deterministic order.  Pairs are deduplicated after symmetric
+    normalization and ``(n, n)`` identities are dropped, so the payload
+    shipped to worker processes (and the grouped planner's input)
+    carries each distinct query once.
     """
     n = len(flow_list)
     pairs: list[tuple[int, int]] = []
@@ -198,19 +224,10 @@ def _surviving_endpoint_pairs(
         a1, a2 = flow_list[i].endpoints
         row = i * n
         for j in range(i + 1, n):
-            if elb_mask is not None:
-                if elb_mask[row + j]:
-                    continue
-            elif use_elb:
-                bound = euclidean_lower_bound(network, flow_list[i], flow_list[j])
-                if bound > eps:
-                    continue
-            if llb_mask is not None:
-                if llb_mask[row + j]:
-                    continue
-            elif llb is not None:
-                if landmark_lower_bound(llb, flow_list[i], flow_list[j]) > eps:
-                    continue
+            if elb_mask is not None and elb_mask[row + j]:
+                continue
+            if llb_mask is not None and llb_mask[row + j]:
+                continue
             b1, b2 = flow_list[j].endpoints
             for source, target in (
                 (a1, b1), (a1, b2), (a2, b1), (a2, b2)
@@ -284,34 +301,10 @@ def refine_flow_clusters(
     eps = config.eps
     sp_before = engine.computations
 
-    llb = None
-    if config.use_llb and not engine.directed:
-        # Landmark tables are engine-memoized per network version; the
-        # sweeps run outside the Figure-7 counters (bounds are free at
-        # query time, like the Euclidean bound).
-        llb = engine.landmark_bounds(config.llb_landmarks)
-
-    # Batch the lower-bound tiers over flat endpoint arrays once, up
-    # front (numpy-accelerated when available; decisions are identical
-    # either way — see repro.core.bounds).  Region queries and prefetch
-    # enumeration below then index the masks instead of recomputing
+    # Batch the lower-bound tiers once, up front: region queries and the
+    # prefetch enumeration below index the masks instead of recomputing
     # per-pair bounds, so the counters they drive cannot drift.
-    from ..vec import resolve_vector_backend
-    from .bounds import elb_far_mask, llb_far_mask
-
-    vector_backend = resolve_vector_backend(
-        getattr(config, "vector_backend", "auto")
-    )
-    elb_mask = (
-        elb_far_mask(network, flow_list, eps, vector_backend)
-        if config.use_elb
-        else None
-    )
-    llb_mask = (
-        llb_far_mask(llb, flow_list, eps, vector_backend)
-        if llb is not None
-        else None
-    )
+    elb_mask, llb_mask = prune_masks(network, flow_list, config, engine)
 
     if engine.oracle is None:
         # Tiered oracle: answer every distance the region queries below
@@ -321,10 +314,7 @@ def refine_flow_clusters(
         # deterministic), so serial and parallel runs execute the same
         # searches and report identical counters.
         engine.prefetch_grouped(
-            _surviving_endpoint_pairs(
-                network, flow_list, eps, config.use_elb, llb=llb,
-                elb_mask=elb_mask, llb_mask=llb_mask,
-            ),
+            _surviving_endpoint_pairs(flow_list, elb_mask, llb_mask),
             cutoff=eps,
             workers=workers,
         )

@@ -419,17 +419,16 @@ class NeatCoordinator:
         Returns the shard-side search count, to be folded into the
         refinement stats.
         """
-        from ..core.refinement import _surviving_endpoint_pairs
+        from ..core.refinement import _surviving_endpoint_pairs, prune_masks
 
         capable = [node for node in self.nodes if node.healthy]
         if not capable:
             return 0
         eps = self.config.eps
-        llb = None
-        if self.config.use_llb and not self.engine.directed:
-            llb = self.engine.landmark_bounds(self.config.llb_landmarks)
+        flow_list = list(flows)
         pairs = _surviving_endpoint_pairs(
-            self.network, list(flows), eps, self.config.use_elb, llb=llb
+            flow_list,
+            *prune_masks(self.network, flow_list, self.config, self.engine),
         )
         # Skip pairs the engine already knows (exact hit, or proven
         # farther than eps): a warm coordinator re-run ships only the

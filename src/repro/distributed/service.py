@@ -51,7 +51,6 @@ wrap this object without changing it — and the **observability plane**
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections import deque
@@ -62,11 +61,9 @@ from typing import Any, Callable, Sequence
 from ..core.config import NEATConfig
 from ..core.incremental import BatchResult, IncrementalNEAT
 from ..core.model import Trajectory
-from ..core.result import NEATResult
 from ..core.serialize import result_to_dict
 from ..core.validate import validate_result, validate_trajectories
 from ..errors import (
-    CorruptSnapshot,
     DeadlineExceeded,
     RetriesExhausted,
     ServiceOverloaded,
@@ -76,7 +73,6 @@ from ..errors import (
 from ..obs import Telemetry, get_logger
 from ..obs.server import ObservabilityServer
 from ..obs.slo import SLORule, SLOWatchdog
-from ..persist.store import SnapshotStore
 from ..resilience import CircuitBreaker, Deadline, FaultInjector, RetryPolicy
 from ..roadnet.network import RoadNetwork
 
@@ -135,6 +131,13 @@ class NeatService:
         clock: Monotonic clock for deadlines and the breaker
             (injectable for tests).
         sleep: Backoff sleeper for retries (injectable for tests).
+        state_dir: Optional directory for durable clustering state.  The
+            clusterer journals every batch (and checkpoints per
+            ``config.checkpoint_every``) under ``state_dir/incremental``;
+            a service constructed over an existing directory recovers
+            that state and builds its serving document from it, so it
+            can serve stale from the first query.  ``None`` keeps
+            everything in memory.
 
     Example:
         >>> from repro.roadnet import line_network
@@ -160,16 +163,13 @@ class NeatService:
         # arm (a service restart is exactly when those faults matter).
         self.faults = FaultInjector()
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self._documents: SnapshotStore | None = None
         if self.state_dir is None:
             self._incremental = IncrementalNEAT(
                 network, self.config, telemetry=self.telemetry
             )
         else:
             # Recover clustering state (empty directory = fresh start with
-            # persistence enabled) and the last validated serving document,
-            # so a restarted service degrades to stale serving instead of
-            # ServiceUnavailable.  Corruption raises typed errors here —
+            # persistence enabled).  Corruption raises typed errors here —
             # construction must never succeed on silently-wrong state.
             # Recovery also warm-loads the persisted distance cache: with
             # an unchanged network, journal replay performs zero
@@ -181,14 +181,6 @@ class NeatService:
                 self.config,
                 telemetry=self.telemetry,
                 faults=self.faults,
-            )
-            self._documents = SnapshotStore(
-                self.state_dir / "service",
-                keep=2,
-                faults=self.faults,
-                metrics=(
-                    self.telemetry.metrics if self.telemetry.enabled else None
-                ),
             )
         self._clock = clock
         self._sleep = sleep
@@ -210,23 +202,12 @@ class NeatService:
             )
         )
         self._pending: deque[list[Trajectory]] = deque()
-        self._last_document: dict[str, Any] | None = None
-        if self._documents is not None:
-            latest = self._documents.read_latest()
-            if latest is not None:
-                generation, payload = latest
-                try:
-                    self._last_document = json.loads(payload.decode("utf-8"))
-                except ValueError as error:
-                    raise CorruptSnapshot(
-                        generation.path,
-                        f"sealed payload is not JSON: {error}",
-                    ) from error
-                _log.info(
-                    "serving document recovered",
-                    generation=generation.number,
-                    stale_until_first_refresh=True,
-                )
+        # The last validated serving document and the state version it
+        # shows.  ``IncrementalNEAT.batch_count`` is the version:
+        # ``add_batch`` is the only mutator, and it either bumps the count
+        # or rolls the whole batch back.
+        self._document: dict[str, Any] | None = None
+        self._document_version = -1
 
         self._submitted_batches = metrics.counter(
             "service.batches_ingested", "Trajectory batches accepted by submit()"
@@ -300,6 +281,11 @@ class NeatService:
         self._slo_verdicts: dict[str, bool] = {}
         self._started_at = clock()
         self._obs_server: ObservabilityServer | None = None
+        if self._incremental.batch_count:
+            # Recovered state: build its document now, so a restarted
+            # service serves stale (not ServiceUnavailable) while its
+            # first refresh is still failing.
+            self._capture_snapshot()
 
     # ------------------------------------------------------------------
     # Ingestion (the client -> server direction)
@@ -408,12 +394,16 @@ class NeatService:
         """The current global clustering as a serialized document.
 
         The response is validated against the framework invariants before
-        being returned.  When the refresh fails (after retries), the last
-        validated snapshot is served instead with ``"stale": true`` —
-        degraded, not down.  While the query latency SLO is breached the
-        refresh is skipped outright and the snapshot is served flagged
-        ``"slo_degraded": true`` — the watchdog's load-shedding answer to
-        a slow query path.
+        being returned.  Each state version's document is built and
+        validated once; every response is a top-level copy of it (so the
+        ``stale`` flags never leak between responses), and its nested
+        values are shared with it — treat them as read-only.  When the
+        refresh fails (after retries), the last validated snapshot is
+        served instead with ``"stale": true`` — degraded, not down.
+        While the query latency SLO is breached the refresh is skipped
+        outright and the snapshot is served flagged ``"slo_degraded":
+        true`` — the watchdog's load-shedding answer to a slow query
+        path.
 
         Raises:
             ServiceUnavailable: The refresh failed and no snapshot has
@@ -424,14 +414,14 @@ class NeatService:
         with self.telemetry.tracer.span("service.get_clustering") as span:
             if (
                 self._slo_verdicts.get("query", False)
-                and self._last_document is not None
+                and self._document is not None
             ):
                 # SLO shedding: skip the refresh entirely — the stale
                 # snapshot keeps the query path fast, which is what lets
                 # the windowed p99 (and the breach) recover.
                 self._slo_stale_queries.inc()
                 _log.warning("serving stale snapshot: query SLO breached")
-                response = dict(self._last_document)
+                response = dict(self._document)
                 response["stale"] = True
                 response["slo_degraded"] = True
             else:
@@ -446,13 +436,12 @@ class NeatService:
                         sleep=self._sleep,
                         on_retry=self._on_retry,
                     )
-                    self._last_document = document
                     response = dict(document)
                 except DeadlineExceeded:
                     self._deadline_exceeded.inc()
                     raise
                 except Exception as error:
-                    if self._last_document is None:
+                    if self._document is None:
                         raise ServiceUnavailable(
                             "refresh failed and no validated snapshot exists"
                         ) from error
@@ -460,7 +449,7 @@ class NeatService:
                     _log.warning(
                         "serving stale snapshot", error=repr(error),
                     )
-                    response = dict(self._last_document)
+                    response = dict(self._document)
                     response["stale"] = True
         self._queries.inc()
         self._query_latency.observe(span.duration)
@@ -618,51 +607,40 @@ class NeatService:
         )
 
     def _capture_snapshot(self) -> None:
-        """Best-effort refresh of the degraded-mode snapshot after ingest.
+        """Best-effort build of the degraded-mode snapshot after ingest.
 
         Deliberately *not* routed through the ``refresh`` injection point
         — chaos tests arm that against queries; the post-ingest capture
-        is what those queries then fall back to.  With a state directory,
-        the validated document is also persisted so a restarted service
-        can serve it stale; a failed write keeps the in-memory copy (the
-        incremental journal is the durable source of truth).
+        is what those queries then fall back to.  A failed build keeps
+        the previous version's document, and the next query retries it.
+        Nothing is written: the incremental journal is the durable source
+        of truth, and a restart rebuilds the document from it.
         """
         try:
-            self._last_document = self._build_document()
+            self._current_document()
         except Exception as error:  # pragma: no cover - defensive
             _log.warning("post-ingest snapshot failed", error=repr(error))
-            return
-        if self._documents is None:
-            return
-        try:
-            payload = json.dumps(
-                self._last_document, sort_keys=True
-            ).encode("utf-8")
-            self._documents.write(
-                payload, watermark=self._incremental.batch_count
-            )
-        except Exception as error:
-            _log.warning("serving-document persist failed", error=repr(error))
 
     def _refresh_document(self) -> dict[str, Any]:
         """One query-path refresh attempt (the ``refresh`` injection point)."""
-        return self.faults.run("refresh", self._build_document)
+        return self.faults.run("refresh", self._current_document)
+
+    def _current_document(self) -> dict[str, Any]:
+        """The current state version's document, built at most once."""
+        version = self._incremental.batch_count
+        if self._document_version != version:
+            self._document = self._build_document()
+            self._document_version = version
+        return self._document
 
     def _build_document(self) -> dict[str, Any]:
-        result = self._snapshot()
+        # The same snapshot_result view checkpointing is built on, so
+        # served and durable state cannot drift apart.
+        result = self._incremental.snapshot_result()
         validate_result(
             result, self.network, allow_shared_segments=True
         ).raise_if_invalid()
         return result_to_dict(result, network_name=self.network.name)
-
-    def _snapshot(self) -> NEATResult:
-        """The service's current state as a NEATResult.
-
-        Delegates to :meth:`IncrementalNEAT.snapshot_result`, the same
-        view checkpointing is built on — served and durable state cannot
-        drift apart.
-        """
-        return self._incremental.snapshot_result()
 
     def checkpoint(self) -> int:
         """Force a snapshot generation of the clustering state now.
@@ -695,7 +673,7 @@ class NeatService:
             "slo": self.slo_watchdog.snapshot(),
             "flows": len(self._incremental.flows),
             "clusters": len(self._incremental.clusters),
-            "has_snapshot": self._last_document is not None,
+            "has_snapshot": self._document is not None,
             "uptime_s": round(self._clock() - self._started_at, 3),
         }
 

@@ -443,12 +443,15 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
 
     Raises:
         MalformedPayload: A column disagrees with the per-cluster or
-            per-fragment counts, or a fragment holds no locations.
+            per-fragment counts, or a cluster holds no fragments, or a
+            fragment holds no locations.
     """
     cluster_sids = _unpack_array(payload, "cluster_sids", "q")
     fragment_counts = _sized_column(
         payload, "fragment_counts", "I", len(cluster_sids)
     )
+    if 0 in fragment_counts:
+        raise MalformedPayload("a cluster holds no fragments")
     fragment_total = sum(fragment_counts)
     fragment_trids = _sized_column(payload, "fragment_trids", "q", fragment_total)
     location_counts = _sized_column(
@@ -457,6 +460,12 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
     if 0 in location_counts:
         raise MalformedPayload("a fragment holds no locations")
     total = sum(location_counts)
+    # Check every location column before expanding the sids: the counts
+    # alone could claim billions of locations.
+    xs = _sized_column(payload, "xs", "d", total)
+    ys = _sized_column(payload, "ys", "d", total)
+    ts = _sized_column(payload, "ts", "d", total)
+    nodes = _sized_column(payload, "nodes", "q", total)
     with gc_paused:
         sids: list[int] = []
         start = 0
@@ -464,14 +473,7 @@ def clusters_from_packed(payload: dict[str, Any]) -> list[BaseCluster]:
             end = start + count
             sids.extend(repeat(sid, sum(location_counts[start:end])))
             start = end
-        locations = list(map(
-            Location,
-            sids,
-            _sized_column(payload, "xs", "d", total),
-            _sized_column(payload, "ys", "d", total),
-            _sized_column(payload, "ts", "d", total),
-            _node_ids(_sized_column(payload, "nodes", "q", total)),
-        ))
+        locations = list(map(Location, sids, xs, ys, ts, _node_ids(nodes)))
         clusters: list[BaseCluster] = []
         fragment_index = 0
         offset = 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import base64
 import io
 import time
+import tracemalloc
 from array import array
 
 import pytest
@@ -421,6 +422,45 @@ class TestPackedSchema:
         }
         with pytest.raises(MalformedPayload, match="no locations"):
             clusters_from_packed(moved)
+
+    def test_empty_cluster_is_typed(self, line3):
+        # An extra sid with a fragment count of 0 leaves every other
+        # column consistent; decoded, it was an empty BaseCluster that
+        # Phase 2 then merged into flows of its own.
+        _, clusters = self._packed(line3)
+        sids = array("q")
+        sids.frombytes(base64.b64decode(clusters["cluster_sids"]))
+        counts = array("I")
+        counts.frombytes(base64.b64decode(clusters["fragment_counts"]))
+        sids.append(99)
+        counts.append(0)
+        padded = {
+            **clusters,
+            "cluster_sids": base64.b64encode(sids.tobytes()).decode("ascii"),
+            "fragment_counts": base64.b64encode(counts.tobytes()).decode("ascii"),
+        }
+        with pytest.raises(MalformedPayload, match="no fragments"):
+            clusters_from_packed(padded)
+
+    def test_inflated_location_count_is_typed_before_allocating(self, line3):
+        # A count claiming millions of locations must fail the column
+        # checks before the decoder expands one sid per claimed location.
+        _, clusters = self._packed(line3)
+        counts = array("I")
+        counts.frombytes(base64.b64decode(clusters["location_counts"]))
+        counts[0] += 2_000_000
+        inflated = {
+            **clusters,
+            "location_counts": base64.b64encode(counts.tobytes()).decode("ascii"),
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedPayload, match="'xs'"):
+                clusters_from_packed(inflated)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("decoder", ["trajectories", "clusters"])
     def test_partial_item_is_typed(self, line3, decoder):
