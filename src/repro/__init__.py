@@ -32,7 +32,7 @@ from .core import (
 )
 from .errors import ReproError
 from .obs import Telemetry, configure_logging, get_logger
-from .parallel import effective_workers, map_chunked, resolve_workers
+from .parallel import effective_workers, resolve_workers
 from .roadnet import Point, RoadNetwork
 
 __version__ = "1.0.0"
@@ -54,6 +54,5 @@ __all__ = [
     "configure_logging",
     "effective_workers",
     "get_logger",
-    "map_chunked",
     "resolve_workers",
 ]

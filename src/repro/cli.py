@@ -99,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--no-elb", action="store_true",
                          help="disable Euclidean-lower-bound pruning")
     cluster.add_argument("--workers", type=int, default=None,
-                         help="worker processes for Phase 1/Phase 3 "
-                              "fan-out (default: one per CPU; 1 = serial; "
-                              "results are identical at any setting)")
+                         help="worker processes for Phase 3's grouped "
+                              "searches (default: one per available CPU; "
+                              "1 = serial; results are identical at any "
+                              "setting)")
     cluster.add_argument("--vector-backend",
                          choices=("auto", "numpy", "python"),
                          default="auto",
@@ -326,9 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--artifact", type=Path,
                        default=Path("benchmarks/output/BENCH_tune_sweep.json"),
                        help="BENCH-style sweep artifact path")
-    sweep.add_argument("--append-history", action="store_true",
-                       help="append the sweep artifact to the bench trend "
-                            "ledger, labeled with the profile")
 
     reproduce = tune_sub.add_parser(
         "reproduce",
@@ -971,19 +969,6 @@ def _cmd_tune_sweep(args: argparse.Namespace) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"wrote {args.artifact}")
-    if args.append_history:
-        bench_dir = Path(__file__).resolve().parent.parent.parent / "benchmarks"
-        if str(bench_dir) not in sys.path:
-            sys.path.insert(0, str(bench_dir))
-        import bench_history
-
-        entry = bench_history.append_entry(
-            args.artifact, workload=args.profile, profile=args.profile
-        )
-        print(
-            f"appended tune_sweep ({entry['workload']}) @ "
-            f"{entry['git_sha']} to the bench ledger"
-        )
     # Every region must elect a winner for the sweep to count as green.
     return 0 if all(r["best_index"] is not None for r in reports) else 1
 

@@ -97,7 +97,6 @@ def form_base_clusters(
     trajectories: Sequence[Trajectory],
     keep_interior_points: bool = False,
     metrics=None,
-    workers: int | None = 1,
 ) -> list[BaseCluster]:
     """Phase 1 end-to-end: fragment trajectories and group into base clusters.
 
@@ -107,18 +106,12 @@ def form_base_clusters(
         keep_interior_points: Keep non-junction samples inside fragments.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when given, the ``neat.phase1.*`` counters are published.
-        workers: Fragment trajectory chunks across a process pool (see
-            :func:`~repro.core.fragmentation.fragment_all`); the grouped
-            output is identical to a serial run.
 
     Returns the density-descending base cluster list (head = dense-core).
     Runs with the cyclic GC paused (:mod:`repro.gcpause`): fragmentation
-    allocates two location samples per junction crossing, and a pooled
-    run unpickles every chunk's fragments in this process.
+    allocates two location samples per junction crossing.
     """
-    fragments = fragment_all(
-        network, trajectories, keep_interior_points, workers=workers
-    )
+    fragments = fragment_all(network, trajectories, keep_interior_points)
     clusters = group_fragments(fragments)
     if metrics is not None:
         metrics.counter(

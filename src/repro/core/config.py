@@ -43,11 +43,12 @@ class NEATConfig:
             last point in the original trajectory are kept, together with
             the newly inserted road junction points"); keeping them is
             useful for visualization and diagnostics.
-        workers: Worker processes for the parallel pipeline stages
-            (Phase 1 fragmentation fan-out, Phase 3 distance batches).
-            ``None`` or ``0`` means one per CPU (``os.cpu_count()``);
-            ``1`` (the default) runs serially.  Results are identical at
-            any setting — parallelism only changes wall-clock time.
+        workers: Worker processes for the Phase 3 grouped searches, the
+            pipeline's one process fan-out.  ``None`` or ``0`` means one
+            per available CPU (the affinity-aware
+            :func:`~repro.parallel.available_cpus`); ``1`` (the default)
+            runs serially.  Results are identical at any setting —
+            parallelism only changes wall-clock time.
         sp_backend: Shortest-path backend of the Phase 3 engine.  Only
             ``"csr"`` (flat-array Dijkstra) exists; the field stays so
             committed config documents that pin it still load.

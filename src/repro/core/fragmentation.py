@@ -12,13 +12,11 @@ identity, route and direction.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Iterable
 
 from ..errors import UnknownSegmentError
 from ..gcpause import gc_paused
 from ..mapmatch.path_inference import infer_crossings
-from ..parallel import map_chunked, network_resource
 from ..roadnet.network import RoadNetwork
 from .model import Location, TFragment, Trajectory
 
@@ -102,50 +100,16 @@ def _make_fragment(
     return TFragment(trid=trid, sid=run[0].sid, locations=kept)
 
 
-#: Below this many trajectories per worker, Phase 1 stays serial — one
-#: fragmentation is cheap, so a pool needs a real backlog to pay off.
-MIN_TRAJECTORIES_PER_WORKER = 16
-
-
 @gc_paused
-def _fragment_chunk(
-    keep_interior_points: bool,
+def fragment_all(
     network: RoadNetwork,
-    trajectories: list[Trajectory],
+    trajectories: Iterable[Trajectory],
+    keep_interior_points: bool = False,
 ) -> list[TFragment]:
-    """Worker-side Phase 1 unit: fragment one contiguous trajectory chunk.
-
-    Module level (picklable); the network arrives as a pool resource
-    broadcast once per worker start, not pickled per chunk.
-    """
+    """Fragment every trajectory, concatenating results in input order."""
     fragments: list[TFragment] = []
     for trajectory in trajectories:
         fragments.extend(
             fragment_trajectory(network, trajectory, keep_interior_points)
         )
     return fragments
-
-
-def fragment_all(
-    network: RoadNetwork,
-    trajectories: Iterable[Trajectory],
-    keep_interior_points: bool = False,
-    workers: int | None = 1,
-) -> list[TFragment]:
-    """Fragment every trajectory, concatenating results in input order.
-
-    Args:
-        workers: Fan the trajectories out per-chunk over the persistent
-            worker pool (``None``/``0`` = one per CPU, ``<=1`` = serial,
-            the default).  The network is registered as a broadcast-once
-            pool resource; chunks are contiguous and results merge in
-            input order, so the output is identical to a serial run.
-    """
-    trajectory_list = list(trajectories)
-    return map_chunked(
-        partial(_fragment_chunk, keep_interior_points),
-        trajectory_list,
-        workers=workers,
-        min_items_per_worker=MIN_TRAJECTORIES_PER_WORKER,
-        resource=network_resource(network),
-    )

@@ -81,7 +81,6 @@ _POOL_COUNTER_HELP = {
     "pool.reuses": "Batches served by already-running workers",
     "pool.tasks": "Individual tasks shipped to workers",
     "pool.bytes_shipped": "Pickled task payload bytes shipped to workers",
-    "pool.broadcast_bytes": "Bytes of broadcast-once object resources",
     "pool.shm_segments": "Shared-memory segments published",
     "pool.shm_bytes": "Bytes published to shared-memory segments",
     "pool.crash_recoveries": "Batches retried after a worker crash",
@@ -209,7 +208,6 @@ class NEAT:
                 trajectory_list,
                 keep_interior_points=self.config.keep_interior_points,
                 metrics=metrics,
-                workers=self.config.workers,
             )
         result.timings.base = span.duration
         _log.debug(

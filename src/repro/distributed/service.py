@@ -634,8 +634,9 @@ class NeatService:
         return self._document
 
     def _build_document(self) -> dict[str, Any]:
-        # The same snapshot_result view checkpointing is built on, so
-        # served and durable state cannot drift apart.
+        # The served view of the clusterer's state.  Checkpoints are
+        # built separately, by IncrementalNEAT._state_document, which
+        # also carries the noise flows the served view leaves out.
         result = self._incremental.snapshot_result()
         validate_result(
             result, self.network, allow_shared_segments=True

@@ -1,39 +1,37 @@
 """Zero-copy process-parallel compute core.
 
-One shared layer behind every pipeline stage that fans work out: Phase 1
-fragments trajectory chunks in parallel, Phase 3 batches shortest-path
-work against read-only CSR snapshots, and the landmark oracle
-bulk-computes distance tables.  Three design rules replace the old
-pool-per-call/pickle-per-worker fan-out (which BENCH_sp_core showed was
-*slower* than serial):
+The one fan-out of the pipeline: Phase 3's grouped shortest-path
+searches (``ShortestPathEngine._batch_group_search``) run against a
+read-only CSR snapshot of the road network.  Everything else runs
+inline; Phase 1 in particular was slower through the pool than serial,
+because shipping its inputs and results cost more than fragmenting
+them.  Three design rules keep the remaining fan-out cheap:
 
 * **Persistent pool** — one :class:`WorkerPool` per process lifetime
   (module singleton via :func:`get_pool`), started on first parallel
-  batch and reused across batches, phases and pipeline runs.  Pool
-  reuse, restarts and bytes shipped are tracked in the ``pool.*``
-  counters (:func:`pool_counters`).
-* **Shared resources instead of per-task pickles** — large read-only
-  inputs (the road network, CSR snapshots) are registered once per
-  network version.  CSR snapshots are published to
-  :mod:`multiprocessing.shared_memory` and workers attach them zero-copy
-  in their initializer (:class:`~repro.roadnet.sharedcsr.SharedCSR`);
-  other objects are broadcast once at worker start.  Tasks then carry
-  only a resource *key*.
-* **(offset, length) descriptors for flat batches** — array-native
-  batch payloads (endpoint pairs, grouped-search plans, sweep sources)
-  go into one transient shared segment per batch; each task ships just
-  its span into that segment (:func:`map_flat`).
+  batch and reused across batches and pipeline runs.  Pool reuse,
+  restarts and bytes shipped are tracked in the ``pool.*`` counters
+  (:func:`pool_counters`).
+* **A shared CSR snapshot instead of per-task pickles** — the network's
+  CSR snapshot is registered once per network version, published to
+  :mod:`multiprocessing.shared_memory` and attached zero-copy by every
+  worker in its initializer
+  (:class:`~repro.roadnet.sharedcsr.SharedCSR`).  Tasks then carry only
+  a resource *key*.
+* **(offset, length) descriptors for flat batches** — the array-native
+  batch payload goes into one transient shared segment per batch; each
+  task ships just its span into that segment (:func:`map_flat`).
 
-The determinism contract is unchanged: items are split into contiguous,
-order-preserving chunks and results concatenate in submission order, so
+The determinism contract: items are split into contiguous,
+order-preserving spans and results concatenate in submission order, so
 output is byte-identical to a serial run at any worker count.  Serial
 fallback (``workers <= 1`` or too few items) runs inline with no pool
 and no shared segments; a pool whose workers die mid-batch is restarted
 and the batch retried once, then the batch falls back to inline serial
 execution (``pool.crash_recoveries`` / ``pool.serial_fallbacks``).
 
-Chunk functions must be picklable (module-level functions or
-``functools.partial`` over one), as must their arguments and results.
+Span functions must be picklable (module-level functions or
+``functools.partial`` over one), as must their results.
 """
 
 from __future__ import annotations
@@ -45,10 +43,7 @@ import threading
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, NamedTuple, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Callable, NamedTuple, Sequence
 
 #: Default floor of items per worker before a pool is worth using.
 DEFAULT_MIN_ITEMS_PER_WORKER = 32
@@ -62,7 +57,6 @@ POOL_COUNTER_NAMES = (
     "pool.reuses",
     "pool.tasks",
     "pool.bytes_shipped",
-    "pool.broadcast_bytes",
     "pool.shm_segments",
     "pool.shm_bytes",
     "pool.crash_recoveries",
@@ -138,31 +132,13 @@ def effective_workers(
     return max(1, min(resolved, item_count // max(1, min_items_per_worker)))
 
 
-def split_chunks(items: Sequence[T], chunk_count: int) -> list[list[T]]:
-    """Split into ``chunk_count`` contiguous, near-even, non-empty chunks.
+def split_spans(item_count: int, span_count: int) -> list[tuple[int, int]]:
+    """Split ``range(item_count)`` into ``(first_item, length)`` spans.
 
-    Concatenating the chunks reproduces ``items`` exactly; at most
-    ``len(items)`` chunks are produced.
+    Contiguous, near-even, covering the range exactly, at most
+    ``item_count`` spans.
     """
-    item_list = list(items)
-    count = max(1, min(chunk_count, len(item_list)))
-    base, extra = divmod(len(item_list), count)
-    chunks: list[list[T]] = []
-    start = 0
-    for i in range(count):
-        size = base + (1 if i < extra else 0)
-        chunks.append(item_list[start:start + size])
-        start += size
-    return chunks
-
-
-def split_spans(item_count: int, chunk_count: int) -> list[tuple[int, int]]:
-    """``(first_item, item_count)`` descriptors of :func:`split_chunks`.
-
-    The descriptor form of chunking: contiguous, near-even, covering
-    ``range(item_count)`` exactly, at most ``item_count`` spans.
-    """
-    count = max(1, min(chunk_count, item_count))
+    count = max(1, min(span_count, item_count))
     base, extra = divmod(item_count, count)
     spans: list[tuple[int, int]] = []
     start = 0
@@ -177,49 +153,29 @@ def split_spans(item_count: int, chunk_count: int) -> list[tuple[int, int]]:
 # Shared resources
 # ----------------------------------------------------------------------
 class Resource(NamedTuple):
-    """A large read-only input workers should receive once, not per task.
+    """A CSR snapshot workers attach once, not per task.
 
     Attributes:
-        kind: ``"object"`` (pickled once into each worker at start) or
-            ``"csr"`` (a :class:`~repro.roadnet.csr.CSRGraph` published
-            to shared memory and attached zero-copy).
-        ident: Stable identity *excluding* version — e.g. ``(network
+        ident: Stable identity *excluding* version — ``("csr", network
             name, id(network), directed)``.  Registering a new version
             under the same ident evicts the old one.
-        version: Mutation version of the value.
-        value: The parent-side object itself (also the serial-path value).
+        version: Mutation version of the network.
+        value: The parent-side :class:`~repro.roadnet.csr.CSRGraph`
+            (also the serial-path value).
     """
 
-    kind: str
     ident: tuple
     version: int
     value: object
 
     @property
     def key(self) -> tuple:
-        return (self.kind, *self.ident, self.version)
-
-
-def shared_object(ident: tuple, version: int, value: object) -> Resource:
-    """Declare a broadcast-once picklable resource (e.g. a RoadNetwork)."""
-    return Resource("object", ident, version, value)
-
-
-def shared_csr(ident: tuple, version: int, graph) -> Resource:
-    """Declare a CSR snapshot to publish via shared memory."""
-    return Resource("csr", ident, version, graph)
-
-
-def network_resource(network) -> Resource:
-    """The broadcast resource for a road network instance."""
-    return shared_object(
-        ("net", network.name, id(network)), network.version, network
-    )
+        return (*self.ident, self.version)
 
 
 def csr_resource(network, directed: bool) -> Resource:
     """The shared-memory resource for a network's CSR snapshot."""
-    return shared_csr(
+    return Resource(
         ("csr", network.name, id(network), directed),
         network.version,
         network.csr(directed),
@@ -230,7 +186,7 @@ def csr_resource(network, directed: bool) -> Resource:
 # Worker-side state
 # ----------------------------------------------------------------------
 # Populated by _worker_init from the bootstrap specs; maps resource key
-# to the materialized value (unpickled object or attached CSRGraph).
+# to the attached CSRGraph.
 _WORKER_RESOURCES: dict = {}
 # Attached handles (SharedCSR) kept so atexit can release them cleanly.
 _WORKER_HANDLES: list = []
@@ -251,18 +207,15 @@ def _release_worker_state() -> None:  # pragma: no cover - worker teardown
     _WORKER_RESOURCES.clear()
 
 
-def _worker_init(specs: list[tuple[tuple, str, object]]) -> None:
-    """Materialize every registered resource inside a fresh worker."""
+def _worker_init(specs: list[tuple[tuple, str]]) -> None:
+    """Attach every registered CSR snapshot inside a fresh worker."""
     from .roadnet.sharedcsr import SharedCSR
 
     _release_worker_state()
-    for key, kind, payload in specs:
-        if kind == "object":
-            _WORKER_RESOURCES[key] = pickle.loads(payload)
-        else:  # "csr"
-            handle = SharedCSR.attach(payload)
-            _WORKER_HANDLES.append(handle)
-            _WORKER_RESOURCES[key] = handle.graph
+    for key, name in specs:
+        handle = SharedCSR.attach(name)
+        _WORKER_HANDLES.append(handle)
+        _WORKER_RESOURCES[key] = handle.graph
     atexit.register(_release_worker_state)
 
 
@@ -288,25 +241,15 @@ def _run_task(payload: bytes):
     """Execute one pre-pickled task inside a worker.
 
     The payload is pickled in the parent (so ``pool.bytes_shipped`` is
-    exact) and decodes to either::
+    exact) and decodes to::
 
-        ("chunk", fn, resource_key | None, chunk)
-        ("span", fn, resource_key | None, segment_name, typecode, lo, hi)
+        (fn, resource_key, segment_name, typecode, lo, hi)
 
-    ``fn`` receives the resolved resource value first (when a key is
-    given), then the chunk — or, for spans, the whole typed view of the
-    batch segment plus its ``[lo, hi)`` element range.
+    ``fn`` receives the attached CSR snapshot, the whole typed view of
+    the batch segment and its ``[lo, hi)`` element range.
     """
-    task = pickle.loads(payload)
-    if task[0] == "chunk":
-        _tag, fn, key, chunk = task
-        if key is None:
-            return fn(chunk)
-        return fn(_WORKER_RESOURCES[key], chunk)
-    _tag, fn, key, name, typecode, lo, hi = task
-    view = _attach_batch(name, typecode)
-    value = None if key is None else _WORKER_RESOURCES[key]
-    return fn(value, view, lo, hi)
+    fn, key, name, typecode, lo, hi = pickle.loads(payload)
+    return fn(_WORKER_RESOURCES[key], _attach_batch(name, typecode), lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -316,12 +259,11 @@ class WorkerPool:
     """A resumable, resource-aware :class:`ProcessPoolExecutor` wrapper.
 
     Workers are started lazily on the first batch and reused for every
-    later one.  Registered resources are shipped in the worker
-    *initializer* — broadcast objects as one pickle per worker per
-    (re)start, CSR snapshots as shared-memory attaches — so steady-state
-    tasks carry only chunk payloads or span descriptors.  Registering a
-    genuinely new resource after startup restarts the workers once
-    (``pool.restarts``); re-registering a known one is free.
+    later one.  Registered CSR snapshots are attached in the worker
+    *initializer*, so steady-state tasks carry only span descriptors.
+    Registering a genuinely new snapshot after startup restarts the
+    workers once (``pool.restarts``); re-registering a known one is
+    free.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -329,7 +271,6 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._resources: dict[tuple, Resource] = {}
         self._published: dict[tuple, object] = {}  # key -> SharedCSR owner
-        self._payloads: dict[tuple, object] = {}   # key -> init payload
         self._lock = threading.RLock()
         self._batch_serial = 0
 
@@ -343,23 +284,15 @@ class WorkerPool:
             # Evict any stale version living under the same identity.
             for old_key in [
                 k for k, r in self._resources.items()
-                if (r.kind, r.ident) == (resource.kind, resource.ident)
+                if r.ident == resource.ident
             ]:
                 self._drop_resource(old_key)
-            if resource.kind == "csr":
-                from .roadnet.sharedcsr import SharedCSR
+            from .roadnet.sharedcsr import SharedCSR
 
-                handle = SharedCSR.publish(resource.value)
-                self._published[key] = handle
-                self._payloads[key] = handle.name
-                _bump("pool.shm_segments")
-                _bump("pool.shm_bytes", handle.nbytes)
-            else:
-                payload = pickle.dumps(
-                    resource.value, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                self._payloads[key] = payload
-                _bump("pool.broadcast_bytes", len(payload))
+            handle = SharedCSR.publish(resource.value)
+            self._published[key] = handle
+            _bump("pool.shm_segments")
+            _bump("pool.shm_bytes", handle.nbytes)
             self._resources[key] = resource
             if self._executor is not None:
                 # Live workers lack the new resource: restart so their
@@ -368,22 +301,16 @@ class WorkerPool:
             return key
 
     def _drop_resource(self, key: tuple) -> None:
-        self._resources.pop(key, None)
-        self._payloads.pop(key, None)
-        handle = self._published.pop(key, None)
-        if handle is not None:
-            handle.unlink()
+        del self._resources[key]
+        self._published.pop(key).unlink()
 
     def resource_value(self, key: tuple):
         """Parent-side value of a registered resource (serial fallback)."""
         with self._lock:
             return self._resources[key].value
 
-    def _specs(self) -> list[tuple[tuple, str, object]]:
-        return [
-            (key, resource.kind, self._payloads[key])
-            for key, resource in self._resources.items()
-        ]
+    def _specs(self) -> list[tuple[tuple, str]]:
+        return [(key, handle.name) for key, handle in self._published.items()]
 
     # -- lifecycle -----------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -454,21 +381,14 @@ class WorkerPool:
 
     def _run_inline(self, payload: bytes):
         """Serial fallback: execute one task payload in the parent."""
-        task = pickle.loads(payload)
-        if task[0] == "chunk":
-            _tag, fn, key, chunk = task
-            if key is None:
-                return fn(chunk)
-            return fn(self.resource_value(key), chunk)
-        _tag, fn, key, name, typecode, lo, hi = task
+        fn, key, name, typecode, lo, hi = pickle.loads(payload)
         from .roadnet.sharedcsr import _attach_segment
 
         shm = _attach_segment(name)
         try:
             view = shm.buf.cast(typecode)
             try:
-                value = None if key is None else self.resource_value(key)
-                return fn(value, view, lo, hi)
+                return fn(self.resource_value(key), view, lo, hi)
             finally:
                 view.release()
         finally:
@@ -483,7 +403,7 @@ def get_pool(workers: int | None = None) -> WorkerPool:
     """The process-wide persistent pool (created on first use).
 
     ``workers`` raises the pool size when it exceeds the current one;
-    the pool never shrinks — per-batch chunk counts already bound how
+    the pool never shrinks — per-batch span counts already bound how
     many workers a small batch occupies.
     """
     global _pool
@@ -507,63 +427,16 @@ def shutdown_pool() -> None:
 
 
 # ----------------------------------------------------------------------
-# Fan-out entry points
+# The fan-out entry point
 # ----------------------------------------------------------------------
-def map_chunked(
-    fn: Callable,
-    items: Sequence[T],
-    workers: int | None = None,
-    min_items_per_worker: int = DEFAULT_MIN_ITEMS_PER_WORKER,
-    resource: Resource | None = None,
-) -> list[R]:
-    """Apply a chunk function over ``items``, fanned out across processes.
-
-    ``fn`` receives a contiguous chunk (a list of items) — preceded by
-    the resolved ``resource`` value when one is given — and returns a
-    list of results; per-chunk results are concatenated in input order.
-    With an effective worker count of 1 the single chunk is processed
-    inline: identical results, no pool, no pickling.
-
-    Args:
-        fn: Picklable ``chunk -> results`` (or ``(value, chunk) ->
-            results``) function.
-        items: The work items, in order.
-        workers: Worker setting (``None``/``0`` = auto, ``<=1`` serial).
-        min_items_per_worker: Pool-worthiness floor per worker.
-        resource: Optional shared input registered with the persistent
-            pool instead of being pickled into every task.
-
-    Returns:
-        The concatenated results, ordered as ``items``.
-    """
-    item_list = list(items)
-    if not item_list:
-        return []
-    count = effective_workers(workers, len(item_list), min_items_per_worker)
-    if count <= 1:
-        if resource is None:
-            return list(fn(item_list))
-        return list(fn(resource.value, item_list))
-    pool = get_pool(resolve_workers(workers))
-    key = None if resource is None else pool.ensure_resource(resource)
-    payloads = [
-        pickle.dumps(
-            ("chunk", fn, key, chunk), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        for chunk in split_chunks(item_list, count)
-    ]
-    parts = pool.run_batch(payloads)
-    return [result for part in parts for result in part]
-
-
 def map_flat(
     fn: Callable,
+    resource: Resource,
     typecode: str,
     flat,
     boundaries: Sequence[int],
     workers: int | None = None,
     min_items_per_worker: int = DEFAULT_MIN_ITEMS_PER_WORKER,
-    resource: Resource | None = None,
 ) -> list:
     """Fan a *flat-encoded* batch out by (offset, length) descriptors.
 
@@ -575,9 +448,9 @@ def map_flat(
     segment and each task ships only ``(segment, lo, hi)`` — workers
     read the items straight out of shared pages.
 
-    ``fn(value, view, lo, hi)`` receives the resolved resource value
-    (``None`` without one), a typed view of the whole batch, and its
-    element range; it returns one result list for the span.  The serial
+    ``fn(graph, view, lo, hi)`` receives the CSR snapshot of
+    ``resource``, a typed view of the whole batch, and its element
+    range; it returns one result list for the span.  The serial
     path calls ``fn`` once over the full range on a local view — byte
     identical, no segment.
     """
@@ -590,14 +463,13 @@ def map_flat(
     if count <= 1:
         view = memoryview(flat)
         try:
-            value = None if resource is None else resource.value
-            return list(fn(value, view, boundaries[0], boundaries[-1]))
+            return list(fn(resource.value, view, boundaries[0], boundaries[-1]))
         finally:
             view.release()
     from multiprocessing import shared_memory
 
     pool = get_pool(resolve_workers(workers))
-    key = None if resource is None else pool.ensure_resource(resource)
+    key = pool.ensure_resource(resource)
     raw = flat.tobytes()
     segment = shared_memory.SharedMemory(create=True, size=max(1, len(raw)))
     try:
@@ -609,7 +481,7 @@ def map_flat(
             lo = boundaries[first]
             hi = boundaries[first + span]
             payloads.append(pickle.dumps(
-                ("span", fn, key, segment.name, typecode, lo, hi),
+                (fn, key, segment.name, typecode, lo, hi),
                 protocol=pickle.HIGHEST_PROTOCOL,
             ))
         parts = pool.run_batch(payloads)

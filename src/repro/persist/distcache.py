@@ -16,7 +16,10 @@ direction mode, entry counts) followed by fixed-width packed records —
 ``<qqd`` per ``(node_a, node_b, value)``, exact entries first, then
 bounded verdicts (value = the largest cutoff the pair is proven to
 exceed).  Entries are sorted, so the same cache content always produces
-the same bytes.
+the same bytes.  The decoder accepts only what the encoder writes: keys
+strictly ascending within each section (so distinct), normalized as the
+engine keys them, in at most one section, exact distances ``>= 0``
+(``+inf`` = unreachable) and bounded verdicts finite and ``> 0``.
 
 Staleness is the whole point of the header: the cache is keyed on the
 CSR mutation version (:attr:`~repro.roadnet.network.RoadNetwork.version`),
@@ -30,6 +33,7 @@ failure.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -85,7 +89,9 @@ def decode_distance_cache(
 
     Raises:
         CorruptSnapshot: Malformed header, wrong format tag or schema
-            version, or a record section shorter than the header claims.
+            version, a record section of another size than the header
+            claims, or records the encoder could not have written (see
+            :func:`_section`).
     """
     newline = payload.find(b"\n")
     if newline < 0:
@@ -106,6 +112,9 @@ def decode_distance_cache(
     counts = (header.get("exact"), header.get("bounded"))
     if not all(isinstance(count, int) and count >= 0 for count in counts):
         raise CorruptSnapshot(source, "bad distance-cache entry counts")
+    directed = header.get("directed")
+    if not isinstance(directed, bool):
+        raise CorruptSnapshot(source, "bad distance-cache direction mode")
     body = payload[newline + 1:]
     expected = (counts[0] + counts[1]) * _RECORD.size
     if len(body) != expected:
@@ -115,9 +124,57 @@ def decode_distance_cache(
             f"declares {expected}",
         )
     records = list(_RECORD.iter_unpack(body))
-    exact = {(a, b): value for a, b, value in records[:counts[0]]}
-    bounded = {(a, b): value for a, b, value in records[counts[0]:]}
+    exact = _section(
+        records[:counts[0]], directed, lambda value: value >= 0.0,
+        "exact", source,
+    )
+    bounded = _section(
+        records[counts[0]:], directed, lambda value: 0.0 < value < math.inf,
+        "bounded", source,
+    )
+    if not exact.keys().isdisjoint(bounded):
+        raise CorruptSnapshot(
+            source, "distance-cache key is both exact and bounded"
+        )
     return header, exact, bounded
+
+
+def _section(
+    records: list[tuple[int, int, float]],
+    directed: bool,
+    legal,
+    what: str,
+    source: str | Path,
+) -> dict[tuple[int, int], float]:
+    """One record section as a table, rejecting what no engine holds.
+
+    Keys must ascend strictly — the encoder sorts them, so a duplicate or
+    misplaced key means the header's count is not the distinct-key count
+    — and be a pair of distinct nodes, lower node first when undirected
+    (the engine's normalized key).  ``legal`` vets each value; NaN fails
+    every comparison, so it never passes.
+    """
+    table: dict[tuple[int, int], float] = {}
+    previous = None
+    for a, b, value in records:
+        key = (a, b)
+        if previous is not None and key <= previous:
+            raise CorruptSnapshot(
+                source, f"{what} distance-cache keys not strictly ascending "
+                f"at {key}"
+            )
+        if a == b or (not directed and a > b):
+            raise CorruptSnapshot(
+                source, f"non-normalized {what} distance-cache key {key}"
+            )
+        if not legal(value):
+            raise CorruptSnapshot(
+                source, f"illegal {what} distance-cache value {value!r} "
+                f"for {key}"
+            )
+        table[key] = value
+        previous = key
+    return table
 
 
 def save_distance_cache(

@@ -20,7 +20,7 @@ from .csr import CSRGraph, build_csr
 from .csv_io import load_network_csv, save_network_csv
 from .geometry import Point
 from .io import load_network, network_from_dict, network_to_dict, save_network
-from .landmarks import LandmarkOracle, many_to_many_distances
+from .landmarks import LandmarkOracle
 from .network import RoadNetwork
 from .segment import DEFAULT_SPEED_LIMIT, DirectedEdge, Junction, RoadSegment
 from .shortest_path import (
@@ -69,7 +69,6 @@ __all__ = [
     "line_network",
     "load_network",
     "load_network_csv",
-    "many_to_many_distances",
     "miami_like",
     "network_from_dict",
     "network_from_edges",

@@ -174,66 +174,3 @@ class LandmarkOracle:
                     )
         return len(done)
 
-
-def _source_tables_kernel(
-    graph, view, lo: int, hi: int
-) -> list[list[float]]:
-    """Span kernel: per source in ``view[lo:hi]``, distances to targets.
-
-    The batch is flat-encoded as ``[n_targets, targets..., sources...]``,
-    so every span kernel reads the shared target header at offset 0 and
-    walks only its own source slots.  ``graph`` is the worker's zero-copy
-    attached CSR snapshot.
-    """
-    n_targets = view[0]
-    targets = tuple(view[1:1 + n_targets])
-    rows: list[list[float]] = []
-    for i in range(lo, hi):
-        table = graph.single_source(view[i])
-        rows.append([table.get(target, INFINITY) for target in targets])
-    return rows
-
-
-def many_to_many_distances(
-    network: RoadNetwork,
-    sources: Sequence[int],
-    targets: Sequence[int],
-    workers: int | None = 1,
-) -> dict[tuple[int, int], float]:
-    """All source-target distances via one Dijkstra per source.
-
-    The bulk primitive behind batched Phase 3 refreshes: with ``S``
-    sources it costs ``S`` single-source searches (over the flat-array
-    CSR snapshot) instead of ``S*T`` point queries.  Parallel sweeps
-    attach the network's shared-memory CSR snapshot zero-copy and read
-    their source ids out of a span descriptor — no graph pickling.
-
-    Args:
-        workers: Fan the per-source sweeps out over a process pool
-            (``None``/``0`` = one per CPU, ``<=1`` serial); results are
-            identical at any setting.
-    """
-    from array import array
-
-    from ..parallel import csr_resource, map_flat
-
-    source_list = list(sources)
-    target_tuple = tuple(targets)
-    if not source_list:
-        return {}
-    header = 1 + len(target_tuple)
-    flat = array("q", [len(target_tuple), *target_tuple, *source_list])
-    rows = map_flat(
-        _source_tables_kernel,
-        "q",
-        flat,
-        range(header, header + len(source_list) + 1),
-        workers=workers,
-        min_items_per_worker=4,
-        resource=csr_resource(network, directed=False),
-    )
-    results: dict[tuple[int, int], float] = {}
-    for source, row in zip(source_list, rows):
-        for target, distance in zip(target_tuple, row):
-            results[(source, target)] = distance
-    return results

@@ -1,6 +1,6 @@
 """Zero-copy CSR snapshots over POSIX shared memory.
 
-The process fan-out of Phase 1/Phase 3 used to pickle the whole
+The process fan-out of Phase 3 used to pickle the whole
 :class:`~repro.roadnet.csr.CSRGraph` into every worker on every batch —
 the reason BENCH_sp_core recorded a parallel *slowdown*.  This module
 publishes a snapshot's typed columns once into one

@@ -6,8 +6,9 @@ heuristic, and a caching :class:`ShortestPathEngine` that counts expansions
 so the ELB experiments (Figure 7) can report exactly how many shortest-path
 computations a clustering run performed.  The engine answers uncached
 point queries with the flat-array bidirectional Dijkstra of
-:mod:`~repro.roadnet.csr`, and can batch uncached searches across worker
-processes (:meth:`ShortestPathEngine.prefetch`).  The module-level
+:mod:`~repro.roadnet.csr`, and can answer uncached pairs up front with
+batched multi-target searches fanned out across worker processes
+(:meth:`ShortestPathEngine.prefetch_grouped`).  The module-level
 dict-of-lists walkers serve the simulator and map matching, and are the
 reference the CSR kernels are tested against.
 
@@ -401,8 +402,7 @@ class ShortestPathEngine:
     _bounded: dict[tuple[int, int], float] = field(default_factory=dict, repr=False)
     # Keys whose next lookup is the delivery of a prefetched computation;
     # consuming one is neither a cache hit nor a new computation, keeping
-    # counters identical between lazy (serial) and prefetched (parallel)
-    # execution.
+    # counters identical between lazy and prefetched execution.
     _prepaid: set[tuple[int, int]] = field(default_factory=set, repr=False)
     # Keys absorbed from a persisted cache; hits on them count warm_hits.
     _warm: set[tuple[int, int]] = field(default_factory=set, repr=False)
@@ -495,8 +495,12 @@ class ShortestPathEngine:
     def _store(
         self, key: tuple[int, int], distance: float, cutoff: float | None
     ) -> None:
-        """File a fresh search result under exact or bounded caching."""
-        if distance == INFINITY and cutoff is not None:
+        """File a fresh search result under exact or bounded caching.
+
+        An unbounded search (no cutoff, or an infinite one) that finds no
+        path proves the pair unreachable: that is an exact answer.
+        """
+        if distance == INFINITY and cutoff is not None and cutoff < INFINITY:
             if cutoff > self._bounded.get(key, 0.0):
                 self._bounded[key] = cutoff
             return
@@ -534,19 +538,16 @@ class ShortestPathEngine:
         self,
         pairs: Iterable[tuple[int, int]],
         cutoff: float | None = None,
-        workers: int | None = 1,
     ) -> int:
-        """Compute and cache every not-yet-known pair, possibly in parallel.
+        """Compute and cache every not-yet-known pair in one batch.
 
-        Runs one search per pair of :meth:`unknown_pairs` — fanned out
-        over a process pool when ``workers`` allows (see
-        :func:`repro.parallel.map_chunked`).  Results and the
-        ``computations``/``nodes_expanded`` counters merge back into this
-        engine exactly as if :meth:`distance` had computed each pair
-        lazily, and the next :meth:`distance` call per prefetched pair is
-        counted as that computation's delivery rather than a cache hit —
-        so Figure-7 accounting is identical between serial and parallel
-        runs.
+        Runs one search per pair of :meth:`unknown_pairs` through the
+        CSR snapshot's :meth:`~repro.roadnet.csr.CSRGraph.distance_batch`.
+        Results and the ``computations``/``nodes_expanded`` counters
+        merge back into this engine exactly as if :meth:`distance` had
+        computed each pair lazily, and the next :meth:`distance` call per
+        prefetched pair is counted as that computation's delivery rather
+        than a cache hit — so Figure-7 accounting is unchanged.
 
         Returns the number of searches executed.
         """
@@ -557,7 +558,9 @@ class ShortestPathEngine:
         if self.oracle is not None:
             results = [(self.oracle.distance(a, b), 0) for a, b in needed]
         else:
-            results = self._batch_search(needed, limit, workers)
+            results = self.network.csr(self.directed).distance_batch(
+                needed, cutoff=limit, bidirectional=True
+            )
         for key, (value, expanded) in zip(needed, results):
             self._count_search(expanded)
             self._store(key, value, cutoff)
@@ -614,50 +617,16 @@ class ShortestPathEngine:
         self,
         pairs: Iterable[tuple[int, int]],
         cutoff: float | None = None,
-        workers: int | None = 1,
     ) -> list[float]:
         """Distances for every pair, in order (batch of :meth:`distance`).
 
         Equivalent to ``[engine.distance(s, t, cutoff) for s, t in
         pairs]`` — identical values, cache state and counters — but the
-        uncached searches run as one deduplicated batch, optionally
-        across worker processes.
+        uncached searches run as one deduplicated batch.
         """
         pair_list = list(pairs)
-        self.prefetch(pair_list, cutoff=cutoff, workers=workers)
+        self.prefetch(pair_list, cutoff=cutoff)
         return [self.distance(s, t, cutoff=cutoff) for s, t in pair_list]
-
-    def _batch_search(
-        self,
-        keys: list[tuple[int, int]],
-        limit: float,
-        workers: int | None,
-    ) -> list[tuple[float, int]]:
-        """Run the searches for ``keys``, serially or across processes.
-
-        The parallel path is zero-copy: workers attach the shared CSR
-        snapshot registered with the persistent pool, and the pair list
-        is shipped as one flat int64 batch segment with per-task
-        (offset, length) descriptors.
-        """
-        from array import array
-        from functools import partial
-
-        from ..parallel import csr_resource, effective_workers, map_flat
-
-        if effective_workers(workers, len(keys), MIN_PAIRS_PER_WORKER) <= 1:
-            graph = self.network.csr(self.directed)
-            return graph.distance_batch(keys, cutoff=limit, bidirectional=True)
-        flat = array("q", [node for pair in keys for node in pair])
-        return map_flat(
-            partial(_csr_pairs_kernel, limit),
-            "q",
-            flat,
-            range(0, 2 * len(keys) + 1, 2),
-            workers=workers,
-            min_items_per_worker=MIN_PAIRS_PER_WORKER,
-            resource=csr_resource(self.network, self.directed),
-        )
 
     def _batch_group_search(
         self,
@@ -667,9 +636,12 @@ class ShortestPathEngine:
     ) -> list[tuple[dict[int, float], int]]:
         """Run the grouped kernels for ``groups``, serially or in a pool.
 
-        Parallel batches follow :meth:`_batch_search`'s zero-copy scheme;
-        each group is flat-encoded as ``[source, n_targets, targets...]``
-        (self-delimiting, so a worker walks exactly its span).
+        The parallel path is zero-copy: workers attach the shared CSR
+        snapshot registered with the persistent pool, and the groups are
+        shipped as one flat int64 batch segment with per-task (offset,
+        length) descriptors.  Each group is flat-encoded as ``[source,
+        n_targets, targets...]`` (self-delimiting, so a worker walks
+        exactly its span).
         """
         from array import array
         from functools import partial
@@ -691,12 +663,12 @@ class ShortestPathEngine:
             boundaries.append(len(flat))
         return map_flat(
             partial(_csr_groups_kernel, limit),
+            csr_resource(self.network, self.directed),
             "q",
             flat,
             boundaries,
             workers=workers,
             min_items_per_worker=MIN_GROUPS_PER_WORKER,
-            resource=csr_resource(self.network, self.directed),
         )
 
     # ------------------------------------------------------------------
@@ -828,27 +800,9 @@ class ShortestPathEngine:
         self.reset_counters()
 
 
-#: Below this many uncached pairs per worker a batch runs serially —
+#: Below this many grouped kernels per worker a batch runs serially —
 #: pool startup would otherwise dominate the Dijkstra work.
-MIN_PAIRS_PER_WORKER = 8
-
-#: Grouped kernels do more work each, so the pool amortizes sooner.
 MIN_GROUPS_PER_WORKER = 4
-
-
-def _csr_pairs_kernel(
-    cutoff: float, graph, view, lo: int, hi: int
-) -> list[tuple[float, int]]:
-    """Span kernel over a flat pair batch against a shared CSR snapshot.
-
-    ``view[lo:hi]`` holds ``(source, target)`` int64 slots back-to-back
-    (stride 2).  ``graph`` is the worker's zero-copy attached snapshot —
-    the searches themselves are identical to the serial batch.
-    """
-    search = graph.bidirectional_distance_counted
-    return [
-        search(view[i], view[i + 1], cutoff) for i in range(lo, hi, 2)
-    ]
 
 
 def _csr_groups_kernel(

@@ -10,6 +10,8 @@ shortest-path computations when the network is unchanged.
 from __future__ import annotations
 
 import json
+import math
+import struct
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.serialize import result_to_dict
 from repro.distributed.service import NeatService
 from repro.obs import Telemetry
 from repro.obs.metrics import MetricsRegistry
+from repro.errors import CorruptSnapshot
 from repro.persist import (
     DISTCACHE_FORMAT,
     DISTCACHE_VERSION,
@@ -42,6 +45,18 @@ def warmed_engine(network, seed: int = 3, cutoff: float = 400.0):
     for a, b in sample_pairs(network, seed, count=30):
         engine.distance(a, b, cutoff=cutoff)
     return engine
+
+
+def raw_payload(network, exact, bounded, directed=False) -> bytes:
+    """A distcache payload holding exactly the given ``(a, b, value)``
+    records, with a header that counts them as the encoder would."""
+    header = {
+        "format": DISTCACHE_FORMAT, "version": DISTCACHE_VERSION,
+        "network": network.name, "network_version": network.version,
+        "directed": directed, "exact": len(exact), "bounded": len(bounded),
+    }
+    records = b"".join(struct.pack("<qqd", *record) for record in exact + bounded)
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + records
 
 
 def make_batches(network, count, per_batch=3):
@@ -75,8 +90,6 @@ class TestEncoding:
         assert bounded == want_bounded
 
     def test_malformed_payloads_raise_corrupt(self):
-        from repro.errors import CorruptSnapshot
-
         network = random_network(3)
         payload = encode_distance_cache(warmed_engine(network))
         for broken in (
@@ -91,6 +104,55 @@ class TestEncoding:
         ):
             with pytest.raises(CorruptSnapshot):
                 decode_distance_cache(broken)
+
+    def test_inconsistent_records_raise_corrupt(self):
+        network = random_network(3)
+        good = [(0, 1, 5.0), (0, 2, math.inf)], [(1, 2, 300.0)]
+        decode_distance_cache(raw_payload(network, *good))
+        for exact, bounded in (
+            # NaN exact, a duplicate key with two answers, an infinite
+            # bound: three records the header counts as distinct entries.
+            ([(0, 1, math.nan), (0, 2, -5.0), (0, 2, 7.0)], [(1, 2, math.inf)]),
+            ([(0, 1, math.nan)], []),
+            ([(0, 1, -5.0)], []),
+            ([(0, 2, 5.0), (0, 2, 5.0)], []),
+            ([(0, 2, 5.0), (0, 1, 5.0)], []),
+            ([(2, 1, 5.0)], []),
+            ([(1, 1, 0.0)], []),
+            ([], [(1, 2, math.inf)]),
+            ([], [(1, 2, 0.0)]),
+            ([], [(1, 2, math.nan)]),
+            ([(1, 2, 5.0)], [(1, 2, 300.0)]),
+        ):
+            with pytest.raises(CorruptSnapshot):
+                decode_distance_cache(raw_payload(network, exact, bounded))
+
+    def test_inconsistent_records_leave_the_engine_cold(self, tmp_path):
+        from repro.persist.store import seal_snapshot
+
+        network = random_network(3)
+        path = tmp_path / "distcache.snap"
+        path.write_bytes(seal_snapshot(raw_payload(
+            network,
+            [(0, 1, math.nan), (0, 2, -5.0), (0, 2, 7.0)],
+            [(1, 2, math.inf)],
+        )))
+        registry = MetricsRegistry()
+        engine = ShortestPathEngine(network)
+        assert load_distance_cache(path, engine, metrics=registry) is None
+        assert registry.value("sp.cache.invalidations") == 1.0
+        assert engine.export_cache() == ({}, {})
+
+    def test_unreachable_under_infinite_cutoff_is_exact(self):
+        network = random_network(3)
+        island = network.add_junction(Point(9e6, 9e6))
+        engine = ShortestPathEngine(network)
+        node = network.node_ids()[0]
+        assert engine.distance(node, island, cutoff=math.inf) == math.inf
+        exact, bounded = engine.export_cache()
+        assert exact == {(node, island): math.inf} and bounded == {}
+        _header, decoded, _ = decode_distance_cache(encode_distance_cache(engine))
+        assert decoded == exact
 
 
 class TestSaveLoad:

@@ -196,7 +196,7 @@ class TestEntryPoints:
             (base_cluster, "group_fragments",
              lambda: form_base_clusters(network, trajectories)),
             (fragmentation, "fragment_trajectory",
-             lambda: fragmentation._fragment_chunk(False, network, trajectories)),
+             lambda: fragmentation.fragment_all(network, trajectories)),
             (serialize, "_cluster_to_dict", lambda: result_to_dict(result)),
             (serialize, "_fragment_from_dict",
              lambda: result_from_dict(document, network)),

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.roadnet.generators import GridConfig, generate_grid_network
-from repro.roadnet.landmarks import LandmarkOracle, many_to_many_distances
-from repro.roadnet.shortest_path import INFINITY, dijkstra_distance
+from repro.roadnet.landmarks import LandmarkOracle
+from repro.roadnet.shortest_path import dijkstra_distance
 
 
 @pytest.fixture(scope="module")
@@ -88,28 +88,3 @@ class TestAltDistance:
             1 for d in dijkstra_single_source(net, source).values() if d < exact
         )
         assert oracle.settled_estimate(source, target) < plain_settled
-
-
-class TestManyToMany:
-    def test_matches_pointwise(self, net):
-        nodes = net.node_ids()
-        sources = nodes[:3]
-        targets = nodes[-3:]
-        table = many_to_many_distances(net, sources, targets)
-        for source in sources:
-            for target in targets:
-                assert table[(source, target)] == pytest.approx(
-                    dijkstra_distance(net, source, target)
-                )
-
-    def test_unreachable_infinite(self):
-        from repro.roadnet.geometry import Point
-        from repro.roadnet.network import RoadNetwork
-
-        net = RoadNetwork()
-        for x, y in [(0, 0), (100, 0), (9000, 9000), (9100, 9000)]:
-            net.add_junction(Point(x, y))
-        net.add_segment(0, 1)
-        net.add_segment(2, 3)
-        table = many_to_many_distances(net, [0], [3])
-        assert table[(0, 3)] == INFINITY

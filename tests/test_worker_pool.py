@@ -2,54 +2,36 @@
 
 The persistent pool replaces the old executor-per-call fan-out; these
 tests pin the lifecycle guarantees the zero-copy core depends on:
-workers are reused across batches, registering new shared resources
+workers are reused across batches, registering a new CSR snapshot
 restarts them exactly once, a crashed batch recovers (retry, then
 inline fallback) without wrong answers, shutdown is idempotent, and no
-shared-memory segment outlives its owner.
+shared-memory segment outlives its owner.  Every batch goes through
+:func:`~repro.parallel.map_flat` over a shared CSR snapshot, the pool's
+one task shape.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+from array import array
 
 import pytest
 
-from repro import parallel
 from repro.parallel import (
     WorkerPool,
     available_cpus,
     csr_resource,
     get_pool,
-    map_chunked,
     map_flat,
     pool_counters,
     resolve_workers,
-    shared_object,
     shutdown_pool,
 )
 from repro.roadnet import GridConfig, generate_grid_network
+from repro.roadnet.geometry import Point
 
 _PARENT_PID = os.getpid()
-
-
-def _double_chunk(chunk):
-    return [2 * x for x in chunk]
-
-
-def _lookup_chunk(table, chunk):
-    return [table[x] for x in chunk]
-
-
-def _crash_in_worker_chunk(chunk):
-    """Dies in any pool worker; computes normally in the parent.
-
-    The pid guard matters: after two crashed attempts the pool falls
-    back to inline execution in the parent, which must not be killed.
-    """
-    if os.getpid() != _PARENT_PID:
-        os._exit(1)
-    return [x + 1 for x in chunk]
 
 
 def _pair_distance_kernel(graph, view, lo, hi):
@@ -57,6 +39,44 @@ def _pair_distance_kernel(graph, view, lo, hi):
         graph.bidirectional_distance_counted(view[i], view[i + 1])
         for i in range(lo, hi, 2)
     ]
+
+
+def _crash_in_worker_kernel(graph, view, lo, hi):
+    """Dies in any pool worker; computes normally in the parent.
+
+    The pid guard matters: after two crashed attempts the pool falls
+    back to inline execution in the parent, which must not be killed.
+    """
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _pair_distance_kernel(graph, view, lo, hi)
+
+
+def _grid(seed: int):
+    return generate_grid_network(GridConfig(rows=5, cols=5, seed=seed))
+
+
+def _pairs(network, count: int = 12) -> list[tuple[int, int]]:
+    ids = network.node_ids()
+    return [(ids[i % len(ids)], ids[-1 - i % len(ids)]) for i in range(count)]
+
+
+def _expected(network, pairs) -> list[tuple[float, int]]:
+    graph = network.csr(False)
+    return [graph.bidirectional_distance_counted(a, b) for a, b in pairs]
+
+
+def _fan(network, pairs, kernel=_pair_distance_kernel, workers: int = 2):
+    """One pair batch over ``network``'s CSR snapshot through the pool."""
+    return map_flat(
+        kernel,
+        csr_resource(network, directed=False),
+        "q",
+        array("q", [node for pair in pairs for node in pair]),
+        range(0, 2 * len(pairs) + 1, 2),
+        workers=workers,
+        min_items_per_worker=1,
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -90,11 +110,12 @@ class TestAffinityAwareResolution:
 
 class TestPoolReuse:
     def test_batches_reuse_workers(self):
+        network = _grid(1)
+        pairs = _pairs(network, 20)
         before = pool_counters()
-        items = list(range(20))
-        first = map_chunked(_double_chunk, items, workers=2, min_items_per_worker=1)
-        second = map_chunked(_double_chunk, items, workers=2, min_items_per_worker=1)
-        assert first == second == [2 * x for x in items]
+        first = _fan(network, pairs)
+        second = _fan(network, pairs)
+        assert first == second == _expected(network, pairs)
         assert _delta(before, "pool.starts") == 1
         assert _delta(before, "pool.batches") == 2
         assert _delta(before, "pool.reuses") == 1
@@ -110,53 +131,44 @@ class TestPoolReuse:
 
 
 class TestResources:
-    def test_object_resource_broadcast_once(self):
-        table = {x: -x for x in range(30)}
-        resource = shared_object(("table", id(table)), 0, table)
-        before = pool_counters()
-        out = map_chunked(
-            _lookup_chunk,
-            list(range(30)),
-            workers=2,
-            min_items_per_worker=1,
-            resource=resource,
-        )
-        assert out == [-x for x in range(30)]
-        assert _delta(before, "pool.broadcast_bytes") > 0
-        # Same resource again: no new broadcast, no restart.
-        map_chunked(
-            _lookup_chunk,
-            list(range(30)),
-            workers=2,
-            min_items_per_worker=1,
-            resource=resource,
-        )
-        assert _delta(before, "pool.broadcast_bytes") == pool_counters()[
-            "pool.broadcast_bytes"
-        ] - before["pool.broadcast_bytes"]
-        assert _delta(before, "pool.restarts") == 0
-
     def test_new_resource_after_start_restarts_once(self):
         pool = get_pool(2)
+        network = _grid(1)
         before = pool_counters()
-        map_chunked(_double_chunk, list(range(10)), workers=2, min_items_per_worker=1)
+        _fan(network, _pairs(network))
         assert _delta(before, "pool.starts") == 1
-        late = shared_object(("late", 1), 0, {"x": 1})
+        assert _delta(before, "pool.restarts") == 0
+        # The same snapshot again: already registered, no restart.
+        _fan(network, _pairs(network))
+        assert _delta(before, "pool.restarts") == 0
+        other = _grid(2)
+        late = csr_resource(other, directed=False)
         pool.ensure_resource(late)
         assert _delta(before, "pool.restarts") == 1
-        assert pool.resource_value(late.key) == {"x": 1}
+        assert pool.resource_value(late.key) is other.csr(False)
+        # The restarted workers attach the late snapshot too.
+        pairs = _pairs(other)
+        assert _fan(other, pairs) == _expected(other, pairs)
 
     def test_new_version_evicts_stale_ident(self):
+        from repro.roadnet.sharedcsr import SharedCSR
+
+        network = _grid(3)
         pool = WorkerPool(2)
         try:
-            v0 = shared_object(("thing", 7), 0, "old")
-            v1 = shared_object(("thing", 7), 1, "new")
+            v0 = csr_resource(network, directed=False)
             key0 = pool.ensure_resource(v0)
+            name0 = pool._published[key0].name
+            network.add_junction(Point(9999.0, 9999.0))  # bumps the version
+            v1 = csr_resource(network, directed=False)
             key1 = pool.ensure_resource(v1)
             assert key0 != key1
-            assert pool.resource_value(key1) == "new"
+            assert pool.resource_value(key1) is v1.value
             with pytest.raises(KeyError):
                 pool.resource_value(key0)
+            # The stale snapshot's segment is reclaimed on eviction.
+            with pytest.raises(FileNotFoundError):
+                SharedCSR.attach(name0)
         finally:
             pool.shutdown()
 
@@ -165,7 +177,7 @@ class TestSharedSegments:
     def test_csr_segment_unlinked_on_shutdown(self):
         from repro.roadnet.sharedcsr import SharedCSR
 
-        network = generate_grid_network(GridConfig(rows=5, cols=5, seed=1))
+        network = _grid(1)
         pool = WorkerPool(2)
         resource = csr_resource(network, directed=False)
         key = pool.ensure_resource(resource)
@@ -178,25 +190,14 @@ class TestSharedSegments:
             SharedCSR.attach(name)
 
     def test_map_flat_parity_and_batch_segment_cleanup(self, tmp_path):
-        from array import array
         from multiprocessing import shared_memory
 
         network = generate_grid_network(GridConfig(rows=6, cols=6, seed=2))
-        resource = csr_resource(network, directed=False)
-        ids = network.node_ids()
-        pairs = [(ids[i], ids[-1 - i]) for i in range(12)]
-        flat = array("q", [n for pair in pairs for n in pair])
-        boundaries = range(0, 2 * len(pairs) + 1, 2)
-        serial = map_flat(
-            _pair_distance_kernel, "q", flat, boundaries,
-            workers=1, resource=resource,
-        )
+        pairs = _pairs(network)
+        serial = _fan(network, pairs, workers=1)
         before = pool_counters()
-        fanned = map_flat(
-            _pair_distance_kernel, "q", flat, boundaries,
-            workers=3, min_items_per_worker=1, resource=resource,
-        )
-        assert serial == fanned
+        fanned = _fan(network, pairs, workers=3)
+        assert serial == fanned == _expected(network, pairs)
         assert _delta(before, "pool.shm_segments") >= 1
         shutdown_pool()
         # The transient batch segment and the published CSR are both
@@ -215,79 +216,61 @@ class TestSharedSegments:
 
 class TestCrashRecovery:
     def test_crash_mid_batch_recovers_with_correct_results(self):
-        items = list(range(8))
+        network = _grid(1)
+        pairs = _pairs(network, 8)
         before = pool_counters()
-        out = map_chunked(
-            _crash_in_worker_chunk, items, workers=2, min_items_per_worker=1
-        )
-        assert out == [x + 1 for x in items]
+        out = _fan(network, pairs, kernel=_crash_in_worker_kernel)
+        assert out == _expected(network, pairs)
         assert _delta(before, "pool.crash_recoveries") >= 1
         assert _delta(before, "pool.serial_fallbacks") == 1
 
     def test_pool_usable_after_crash(self):
-        map_chunked(
-            _crash_in_worker_chunk, list(range(4)), workers=2, min_items_per_worker=1
-        )
-        out = map_chunked(
-            _double_chunk, list(range(10)), workers=2, min_items_per_worker=1
-        )
-        assert out == [2 * x for x in range(10)]
+        network = _grid(1)
+        _fan(network, _pairs(network, 4), kernel=_crash_in_worker_kernel)
+        pairs = _pairs(network, 10)
+        assert _fan(network, pairs) == _expected(network, pairs)
 
 
 class TestShutdown:
     def test_double_shutdown_is_safe(self):
+        network = _grid(1)
         pool = get_pool(2)
-        map_chunked(_double_chunk, list(range(6)), workers=2, min_items_per_worker=1)
+        _fan(network, _pairs(network, 6))
         pool.shutdown()
         pool.shutdown()
         shutdown_pool()
         shutdown_pool()
 
     def test_pool_restarts_after_global_shutdown(self):
+        network = _grid(1)
         first = get_pool(2)
         shutdown_pool()
         second = get_pool(2)
         assert second is not first
-        out = map_chunked(
-            _double_chunk, list(range(6)), workers=2, min_items_per_worker=1
-        )
-        assert out == [2 * x for x in range(6)]
+        pairs = _pairs(network, 6)
+        assert _fan(network, pairs) == _expected(network, pairs)
 
 
 class TestInlineFallbackPayloads:
     def test_run_inline_matches_worker_results(self):
         # The serial fallback decodes the same pre-pickled payloads the
-        # workers would have: exercise both payload kinds directly.
-        from array import array
+        # workers would have.
+        from multiprocessing import shared_memory
 
-        network = generate_grid_network(GridConfig(rows=5, cols=5, seed=4))
+        network = _grid(4)
         pool = WorkerPool(2)
         try:
-            resource = csr_resource(network, directed=False)
-            key = pool.ensure_resource(resource)
-            chunk_payload = pickle.dumps(
-                ("chunk", _double_chunk, None, [1, 2, 3]),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            assert pool._run_inline(chunk_payload) == [2, 4, 6]
-
-            ids = network.node_ids()
-            flat = array("q", [ids[0], ids[-1], ids[1], ids[-2]])
-            from multiprocessing import shared_memory
-
+            key = pool.ensure_resource(csr_resource(network, directed=False))
+            pairs = _pairs(network, 2)
+            flat = array("q", [node for pair in pairs for node in pair])
             segment = shared_memory.SharedMemory(create=True, size=len(flat) * 8)
             try:
                 segment.buf[:] = flat.tobytes()
-                span_payload = pickle.dumps(
-                    ("span", _pair_distance_kernel, key, segment.name, "q", 0, 4),
+                payload = pickle.dumps(
+                    (_pair_distance_kernel, key, segment.name, "q", 0, 4),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
-                graph = network.csr(False)
-                expected = [
-                    graph.bidirectional_distance_counted(ids[0], ids[-1]),
-                    graph.bidirectional_distance_counted(ids[1], ids[-2]),
-                ]
-                assert pool._run_inline(span_payload) == expected
+                assert pool._run_inline(payload) == _expected(network, pairs)
             finally:
                 segment.close()
                 segment.unlink()

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.fragmentation as fragmentation_module
 import repro.roadnet.shortest_path as sp_module
 from repro.core import NEAT, NEATConfig
 from repro.core.bounds import elb_far_mask, llb_far_mask
@@ -195,8 +194,6 @@ def workload():
 
 
 def _force_small_thresholds(monkeypatch):
-    monkeypatch.setattr(fragmentation_module, "MIN_TRAJECTORIES_PER_WORKER", 1)
-    monkeypatch.setattr(sp_module, "MIN_PAIRS_PER_WORKER", 1)
     monkeypatch.setattr(sp_module, "MIN_GROUPS_PER_WORKER", 1)
 
 
