@@ -61,32 +61,6 @@ def bench_fig7_dijkstra_sj(benchmark):
     assert result.clusters is not None
 
 
-def bench_fig7_pruning_tiers(emit):
-    """ELB-only vs ELB+LLB pruning rates on the paper-scale workload.
-
-    Extends the Figure 7 discussion with the landmark lower-bound tier:
-    the same Phase 3 workload runs through the per-pair reference, the
-    tiered oracle and tiered+LLB, and the ``BENCH_distance_oracle.json``
-    artifact records the executed-search/settled-node reductions
-    alongside both pruning rates.  Pruning must never change the clustering.
-    """
-    from bench_distance_oracle import (
-        ARTIFACT,
-        render_oracle_comparison,
-        run_oracle_comparison,
-    )
-
-    from repro.experiments.harness import export_metrics
-
-    report = run_oracle_comparison()
-    export_metrics(report, ARTIFACT)
-    emit("fig7_pruning_tiers", render_oracle_comparison(report))
-    assert report["identical_clusters"]
-    elb_only = report["tiered"]["combined_prune_rate"]
-    combined = report["tiered_llb"]["combined_prune_rate"]
-    assert combined >= elb_only, "the LLB tier must never prune fewer pairs"
-
-
 def bench_fig7_elb_atl(benchmark, emit):
     """The ATL panel of Figure 7."""
     network, datasets = build_suite("ATL", NEAT_COUNTS)

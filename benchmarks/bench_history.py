@@ -3,15 +3,20 @@
 Every CI perf job ends by appending its freshly produced ``BENCH_*.json``
 artifact to the committed ledger ``benchmarks/history/BENCH_history.jsonl``
 — one JSON object per line carrying the bench name, a workload key, the
-git revision, a UTC timestamp and the full metrics document.  The ledger
-is the longitudinal record the single-baseline regression gate cannot
-give: ``report`` renders a markdown trend table per bench/workload, and
+git revision, a UTC timestamp and the full metrics document.  A
+repository-benchmark run record (``neatbench/out/<stem>.json``) appends
+the same way, as bench ``neatbench``: keyed by its workload (traced runs
+as ``<workload>/trace``), stamped with the git revision it measured, and
+carrying the result's metric values plus ``cpu_count`` and ``digest``.
+The ledger is the longitudinal record the single-baseline regression
+gate cannot give: ``report`` renders a markdown trend table per bench/workload, and
 ``check_perf_regression.py --history`` gates a fresh artifact against
 the *latest* ledger entry instead of a static baseline file.
 
 Subcommands::
 
     python benchmarks/bench_history.py append --artifact output/BENCH_sp_core.json
+    python benchmarks/bench_history.py append --artifact neatbench/out/batch_dense-seed7-trace0.json
     python benchmarks/bench_history.py report [--bench sp_core] [--out trend.md]
     python benchmarks/bench_history.py latest --bench sp_core [--workload ...]
     python benchmarks/bench_history.py verify
@@ -36,14 +41,13 @@ from pathlib import Path
 BENCH_DIR = Path(__file__).parent
 LEDGER = BENCH_DIR / "history" / "BENCH_history.jsonl"
 
-#: Benches whose smoke artifacts CI appends on every run; ``verify``
-#: fails when any of them has no ledger entry at all.
+#: Benches the ledger must cover (CI appends most of them on every run;
+#: neatbench runs are appended by hand); ``verify`` fails when any of
+#: them has no ledger entry at all.
 KNOWN_BENCHES = (
-    "checkpoint_overhead",
-    "distance_oracle",
     "distributed_ingest",
+    "neatbench",
     "observability_overhead",
-    "paper_scale",
     "passports",
     "sp_core",
     "tune_sweep",
@@ -93,6 +97,34 @@ def workload_key(document: dict) -> str:
     return "/".join(parts) if parts else "default"
 
 
+def is_neatbench_record(document: dict) -> bool:
+    """Whether an artifact is a ``neatbench/run.py`` run record."""
+    return isinstance(document.get("environment"), dict) and isinstance(
+        document.get("result"), dict
+    )
+
+
+def neatbench_fields(document: dict) -> tuple[str, str, dict]:
+    """(workload key, git revision, metrics) of a neatbench run record.
+
+    Traced runs measure a different metric set (per-layer self times),
+    so they get their own series.  The revision is the one the run
+    stamped, marked ``-dirty`` when its tree had uncommitted changes.
+    """
+    result = document["result"]
+    if result.get("correct") is not True:
+        raise ValueError("neatbench record did not pass its correctness gates")
+    stamp = document["environment"]
+    workload = document["workload"]
+    if "layer_self_s" in document:
+        workload += "/trace"
+    sha = str(stamp["git_sha"])[:7] + ("-dirty" if stamp.get("git_dirty") else "")
+    metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+    metrics["cpu_count"] = stamp["cpu_count"]
+    metrics["digest"] = document["digest"]
+    return workload, sha, metrics
+
+
 def git_sha() -> str:
     try:
         return subprocess.run(
@@ -138,20 +170,29 @@ def append_entry(
 ) -> dict:
     """Append one artifact to the ledger; returns the written entry.
 
-    ``profile`` labels the entry with its workload-ladder rung
-    (small/medium/stress) so a stress smoke never becomes the baseline
-    a small run is gated against — ``latest_entry`` filters on it.
+    ``artifact`` is a ``BENCH_<name>.json`` document or a neatbench run
+    record (see :func:`neatbench_fields`).  ``profile`` labels the entry
+    with its workload-ladder rung (small/medium/stress) so a stress smoke
+    never becomes the baseline a small run is gated against —
+    ``latest_entry`` filters on it.
     """
     document = json.loads(artifact.read_text(encoding="utf-8"))
+    if is_neatbench_record(document):
+        bench = "neatbench"
+        key, stamped_sha, metrics = neatbench_fields(document)
+    else:
+        bench, key, stamped_sha, metrics = (
+            bench_name(artifact), workload_key(document), None, document
+        )
     entry = {
-        "bench": bench_name(artifact),
-        "workload": workload or workload_key(document),
-        "git_sha": sha or git_sha(),
+        "bench": bench,
+        "workload": workload or key,
+        "git_sha": sha or stamped_sha or git_sha(),
         "recorded_utc": recorded_utc
         or datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "metrics": document,
+        "metrics": metrics,
     }
     if profile is not None:
         entry["profile"] = profile
@@ -284,7 +325,8 @@ def main(argv: list[str] | None = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     append_cmd = commands.add_parser(
-        "append", help="append one BENCH_*.json artifact to the ledger"
+        "append",
+        help="append one BENCH_*.json artifact or neatbench run record",
     )
     append_cmd.add_argument("--artifact", type=Path, required=True)
     append_cmd.add_argument(

@@ -11,23 +11,15 @@ dataset generation 54.6 s; opt-NEAT 13.3 s total (Phase 1: 9.9 s,
 Phase 2: 1.2 s, Phase 3: 2.2 s with ELB) — the same order of magnitude
 as the paper's 59.7 s for ATL5000 on 2008-era Java.
 
-Standalone: ``python benchmarks/bench_paper_scale.py [--smoke]
-[--profile stress] [--append-history]`` runs a workload-ladder rung of
-the same shape and writes ``output/BENCH_paper_scale.json`` — ``--smoke``
-shrinks the stress rung to the CI-feasible stand-in, whose deterministic
-counters (t_fragments, flows, clusters) the tuning CI job gates against
-the committed ``baselines/BENCH_paper_scale_smoke.json``.
+Run with ``REPRO_PAPER_SCALE=1 python -m pytest
+benchmarks/bench_paper_scale.py``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 from pathlib import Path
-
-OUTPUT_DIR = Path(__file__).parent / "output"
-ARTIFACT = OUTPUT_DIR / "BENCH_paper_scale.json"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -69,104 +61,3 @@ def bench_paper_scale_atl5000(benchmark, emit):
         f"{result.cluster_count} clusters",
     )
     assert result.flows
-
-
-def run_profile_rung(spec: WorkloadSpec, profile: str, smoke: bool) -> dict:
-    """opt-NEAT over one ladder rung; returns the gateable artifact.
-
-    The counters (t_fragments, flows, clusters) are deterministic for a
-    fixed spec, so ``check_perf_regression.py`` can gate the smoke rung
-    against a committed baseline; the timings are informational.
-    """
-    generation_started = time.perf_counter()
-    network = build_network(spec.region, spec.network_scale, spec.seed)
-    dataset = build_dataset(network, spec)
-    generation_s = time.perf_counter() - generation_started
-
-    # The paper's eps (6500 m on full-size ATL) shrinks with the map.
-    eps = 6500.0 * spec.resolved_scale
-    result = NEAT(network, NEATConfig(eps=eps)).run_opt(dataset)
-    timings = result.timings
-    return {
-        "network": spec.region,
-        "profile": profile,
-        "smoke": smoke,
-        "objects": len(dataset),
-        "points": dataset.total_points,
-        "network_scale": spec.resolved_scale,
-        "eps": eps,
-        "junctions": network.junction_count,
-        "segments": network.segment_count,
-        "t_fragments": sum(
-            len(cluster.fragments) for cluster in result.base_clusters
-        ),
-        "flows": len(result.flows),
-        "clusters": len(result.clusters),
-        "generation_s": round(generation_s, 2),
-        "phase1_s": round(timings.base, 3),
-        "phase2_s": round(timings.flow, 3),
-        "phase3_s": round(timings.refine, 3),
-        "total_s": round(timings.total, 3),
-    }
-
-
-def render_rung(report: dict) -> str:
-    rung = "smoke rung" if report["smoke"] else "full rung"
-    return (
-        f"Paper-scale ladder ({report['profile']} profile, {rung}): "
-        f"{report['network']} @ scale {report['network_scale']}\n"
-        f"  network: {report['junctions']} junctions, "
-        f"{report['segments']} segments\n"
-        f"  dataset: {report['objects']} objects, "
-        f"{report['points']} points (generated in "
-        f"{format_seconds(report['generation_s'])})\n"
-        f"  opt-NEAT: {format_seconds(report['total_s'])} "
-        f"(P1 {report['phase1_s']}s / P2 {report['phase2_s']}s / "
-        f"P3 {report['phase3_s']}s) -> {report['t_fragments']} t-fragments, "
-        f"{report['flows']} flows, {report['clusters']} clusters"
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone runner for the workload ladder's paper-scale rung."""
-    import argparse
-
-    from repro.experiments.harness import export_metrics
-    from repro.tune.profiles import add_profile_argument, resolve_profile
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the profile's CI-feasible smoke stand-in instead of "
-             "the full paper-scale workload",
-    )
-    add_profile_argument(parser, default="stress")
-    parser.add_argument(
-        "--append-history",
-        action="store_true",
-        help="append the artifact to benchmarks/history/"
-             "BENCH_history.jsonl, labeled with the profile",
-    )
-    options = parser.parse_args(argv)
-
-    profile = resolve_profile(options.profile)
-    spec = profile.bench_spec(smoke=options.smoke)
-    report = run_profile_rung(spec, profile.name, options.smoke)
-    export_metrics(report, ARTIFACT)
-    print(render_rung(report))
-    print(f"\nwrote {ARTIFACT}")
-    assert report["flows"] > 0, "paper-scale rung produced no flows"
-    if options.append_history:
-        from bench_history import append_entry
-
-        entry = append_entry(ARTIFACT, profile=profile.name)
-        print(
-            f"appended paper_scale ({entry['workload']}, profile "
-            f"{entry['profile']}) @ {entry['git_sha']} to the bench ledger"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,34 +1,24 @@
-"""Shortest-path core and parallel fan-out: the perf numbers behind NEAT.
+"""Phase 3 fan-out: serial vs pooled grouped shortest-path searches.
 
-Two measurements, one artifact (``output/BENCH_sp_core.json``):
+One measurement, one artifact (``output/BENCH_sp_core.json``): one
+opt-NEAT run with ``workers=1`` vs ``workers=4``.  The grouped searches
+behind DBSCAN run across worker processes, and the artifact records the
+Phase 3 wall-clock for both together with the engine counters, which
+must be identical (the pool only changes *when* searches run, never
+*which*).  CI gates ``phase3.phase3_speedup`` >= 1.0 on runners with at
+least 4 CPUs (``phase3.available_cpus``).
 
-1. *Backend microbench* — point-to-point distance queries on the largest
-   generated network (MIA) through the legacy dict-of-lists Dijkstra, the
-   flat-array CSR Dijkstra, and the CSR bidirectional search.  The CSR
-   walkers answer the identical queries; the artifact records the
-   speedups (acceptance: CSR >= 2x dict).
-
-2. *Phase 3 fan-out* — one opt-NEAT run with ``workers=1`` vs
-   ``workers=4``: the pairwise route-distance matrix behind DBSCAN is
-   prefetched across worker processes, and the artifact records the
-   Phase 3 wall-clock for both together with the engine counters, which
-   must be identical (the pool only changes *when* searches run, never
-   *which*).
-
-Scale knobs: ``REPRO_BENCH_SP_PAIRS`` (query count, default 250) and
-``REPRO_BENCH_SP_OBJECTS`` (Phase 3 dataset size, default 300).  Run
-standalone with ``python benchmarks/bench_sp_core.py [--smoke]
-[--profile small|medium|stress]`` (the CI smoke mode shrinks both
-workloads so the run finishes in seconds; ``--profile`` pins the
-workload to a named rung of the ladder instead of the env-var knobs).
+Scale knob: ``REPRO_BENCH_SP_OBJECTS`` (Phase 3 dataset size, default
+300).  Run standalone with ``python benchmarks/bench_sp_core.py
+[--smoke] [--profile small|medium|stress]`` (the CI smoke mode shrinks
+the workload so the run finishes in seconds; ``--profile`` pins it to a
+named rung of the ladder instead of the env-var knob).
 """
 
 from __future__ import annotations
 
 import os
-import random
 import sys
-import time
 from pathlib import Path
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -45,78 +35,10 @@ from repro.experiments.workloads import (  # noqa: E402
     build_dataset,
     build_network,
 )
-from repro.roadnet.shortest_path import (  # noqa: E402
-    INFINITY,
-    dijkstra_distance_counted,
-)
-
-
-def _pair_count() -> int:
-    return int(os.environ.get("REPRO_BENCH_SP_PAIRS", "250"))
 
 
 def _object_count() -> int:
     return int(os.environ.get("REPRO_BENCH_SP_OBJECTS", "300"))
-
-
-def _sample_pairs(network, count: int, seed: int = 97):
-    rng = random.Random(seed)
-    ids = network.node_ids()
-    return [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
-
-
-def _time_queries(fn, pairs, repeats: int = 5) -> tuple[float, list[float]]:
-    """Best-of-``repeats`` wall seconds and the answers for one backend.
-
-    The minimum over repetitions is the standard noise-resistant timing
-    estimate; all repetitions compute identical answers.
-    """
-    best = INFINITY
-    values: list[float] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        values = [fn(a, b) for a, b in pairs]
-        best = min(best, time.perf_counter() - started)
-    return best, values
-
-
-def run_backend_microbench(
-    region: str = "MIA",
-    pairs: int | None = None,
-    network_scale: float | None = None,
-) -> dict:
-    """Dict vs CSR vs bidirectional point queries on one network."""
-    network = build_network(region, network_scale)
-    queries = _sample_pairs(network, pairs if pairs is not None else _pair_count())
-    graph = network.csr(directed=False)
-
-    dict_s, dict_values = _time_queries(
-        lambda a, b: dijkstra_distance_counted(network, a, b)[0], queries
-    )
-    csr_s, csr_values = _time_queries(
-        lambda a, b: graph.distance_counted(a, b)[0], queries
-    )
-    bidi_s, bidi_values = _time_queries(
-        lambda a, b: graph.bidirectional_distance_counted(a, b)[0], queries
-    )
-
-    # The backends must agree before their timings mean anything.
-    assert csr_values == dict_values
-    for got, want in zip(bidi_values, dict_values):
-        assert got == want or abs(got - want) <= 1e-9 * max(got, want)
-    assert any(v != INFINITY for v in dict_values)
-
-    return {
-        "network": region,
-        "junctions": network.junction_count,
-        "segments": network.segment_count,
-        "queries": len(queries),
-        "dict_s": round(dict_s, 4),
-        "csr_dijkstra_s": round(csr_s, 4),
-        "csr_bidirectional_s": round(bidi_s, 4),
-        "speedup_csr_vs_dict": round(dict_s / csr_s, 2),
-        "speedup_bidirectional_vs_dict": round(dict_s / bidi_s, 2),
-    }
 
 
 def run_phase3_fanout(
@@ -187,24 +109,8 @@ def run_phase3_fanout(
     }
 
 
-def _render(micro: dict, fanout: dict) -> str:
+def _render(fanout: dict) -> str:
     lines = [
-        "Shortest-path core: backend microbench "
-        f"({micro['network']}, {micro['junctions']} junctions, "
-        f"{micro['queries']} point queries)",
-        format_table(
-            ("backend", "seconds", "speedup vs dict"),
-            [
-                ("dict Dijkstra", micro["dict_s"], "1.0"),
-                ("CSR Dijkstra", micro["csr_dijkstra_s"], micro["speedup_csr_vs_dict"]),
-                (
-                    "CSR bidirectional",
-                    micro["csr_bidirectional_s"],
-                    micro["speedup_bidirectional_vs_dict"],
-                ),
-            ],
-        ),
-        "",
         "Phase 3 fan-out: opt-NEAT refinement wall-clock "
         f"({fanout['network']}, {fanout['objects']} objects, eps={fanout['eps']}, "
         f"{fanout['available_cpus']} CPU(s) available)",
@@ -232,12 +138,10 @@ def _render(micro: dict, fanout: dict) -> str:
 
 
 def bench_sp_core(emit):
-    """Pytest entry point: run both measurements, write the artifact."""
-    micro = run_backend_microbench()
+    """Pytest entry point: run the fan-out, write the artifact."""
     fanout = run_phase3_fanout()
-    export_metrics({"microbench": micro, "phase3": fanout}, ARTIFACT)
-    emit("sp_core", _render(micro, fanout))
-    assert micro["speedup_bidirectional_vs_dict"] > 1.0
+    export_metrics({"phase3": fanout}, ARTIFACT)
+    emit("sp_core", _render(fanout))
     if fanout["available_cpus"] >= 4:
         # Zero-copy acceptance floor: the shared-memory pool must beat
         # serial by 2x at 4 workers (only meaningful with real CPUs).
@@ -245,7 +149,7 @@ def bench_sp_core(emit):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Standalone runner (CI smoke mode shrinks the workloads)."""
+    """Standalone runner (CI smoke mode shrinks the workload)."""
     import argparse
 
     from repro.tune.profiles import add_profile_argument, resolve_profile
@@ -254,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny workloads: checks the harness runs, not the speedups",
+        help="tiny workload: checks the harness runs, not the speedup",
     )
     add_profile_argument(parser)
     parser.add_argument(
@@ -266,24 +170,17 @@ def main(argv: list[str] | None = None) -> int:
 
     if options.profile:
         spec = resolve_profile(options.profile).bench_spec(smoke=options.smoke)
-        micro = run_backend_microbench(
-            region=spec.region,
-            pairs=40 if options.smoke else None,
-            network_scale=spec.network_scale,
-        )
         fanout = run_phase3_fanout(
             region=spec.region,
             objects=spec.object_count,
             network_scale=spec.network_scale,
         )
     elif options.smoke:
-        micro = run_backend_microbench(region="ATL", pairs=40)
         fanout = run_phase3_fanout(region="ATL", objects=40, workers=4)
     else:
-        micro = run_backend_microbench()
         fanout = run_phase3_fanout()
-    export_metrics({"microbench": micro, "phase3": fanout}, ARTIFACT)
-    print(_render(micro, fanout))
+    export_metrics({"phase3": fanout}, ARTIFACT)
+    print(_render(fanout))
     print(f"\nwrote {ARTIFACT}")
     if options.append_history:
         from bench_history import append_entry

@@ -31,9 +31,9 @@ of the same bench never compare against each other's baselines.
 Usage::
 
     python benchmarks/check_perf_regression.py \
-        --baseline benchmarks/baselines/BENCH_distance_oracle_smoke.json \
-        --current benchmarks/output/BENCH_distance_oracle.json \
-        --key tiered.sp_computations --key tiered.nodes_expanded
+        --baseline benchmarks/baselines/BENCH_distributed_ingest_baseline.json \
+        --current benchmarks/output/BENCH_distributed_ingest.json \
+        --key flows --key clusters --key-min vs_serial_by_shards.4=0.30
 
     python benchmarks/check_perf_regression.py \
         --history benchmarks/history/BENCH_history.jsonl \

@@ -18,14 +18,16 @@ automatically when asked.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..errors import PersistenceError, RecoveryError
+from ..errors import CorruptSnapshot, PersistenceError, RecoveryError
 from ..obs import Telemetry, get_logger
 from ..persist.checkpoint import (
     CheckpointManager,
+    encode_state_payload,
     open_state_document,
     seal_state_document,
 )
@@ -557,10 +559,11 @@ class IncrementalNEAT:
         """The full durable state (flows, noise flows, clusters, id space).
 
         The document is built *incrementally*: flow pools only ever
-        append (a rollback or recovery replaces the list object, which
-        resets the memo), so each call serializes just the flows added
-        since the last one and re-emits the already-built entries.  The
-        schema is ``result_to_dict``'s — the entry builders are shared.
+        append (a rollback replaces the list object, which resets the
+        memo; recovery seeds it in the recovered document's order), so
+        each call serializes just the flows added since the last one and
+        re-emits the already-built entries.  The schema is
+        ``result_to_dict``'s — the entry builders are shared.
         """
         memo = self._doc_memo
         flows, noise_flows = self._flows, self._noise_flows
@@ -571,12 +574,7 @@ class IncrementalNEAT:
             or memo["noise"] is not noise_flows
             or memo["noise_done"] > len(noise_flows)
         ):
-            memo = self._doc_memo = {
-                "flows": flows, "flows_done": 0,
-                "noise": noise_flows, "noise_done": 0,
-                "base_entries": [], "base_index": {},
-                "flow_entries": [], "noise_entries": [], "flow_index": {},
-            }
+            memo = self._reset_doc_memo()
         base_entries = memo["base_entries"]
         base_index = memo["base_index"]
 
@@ -629,6 +627,20 @@ class IncrementalNEAT:
             result_document=result_document,
         )
 
+    def _reset_doc_memo(self, base_clusters: Sequence[Any] = ()) -> dict[str, Any]:
+        """A fresh document memo whose base entries start with ``base_clusters``."""
+        self._doc_memo = {
+            "flows": self._flows, "flows_done": 0,
+            "noise": self._noise_flows, "noise_done": 0,
+            "base_entries": [
+                _cluster_to_dict(cluster, self._fragment_cache)
+                for cluster in base_clusters
+            ],
+            "base_index": {id(cluster): i for i, cluster in enumerate(base_clusters)},
+            "flow_entries": [], "noise_entries": [], "flow_index": {},
+        }
+        return self._doc_memo
+
     def _restore_state(self, document: dict[str, Any], source: object) -> None:
         """Load a state envelope into this (empty) instance."""
         watermark, seen_trids, network_name, result_document = (
@@ -646,3 +658,11 @@ class IncrementalNEAT:
         self._clusters = list(result.clusters)
         self._seen_trids = set(seen_trids)
         self._batches = watermark
+        # Accept only documents this class writes: kept in the document's
+        # own base-cluster order, the restored state must re-encode to it.
+        # A field that recovery would ignore or normalize (a stale flag,
+        # member sids that disagree with the members, a missing network
+        # name) is corruption, not a different state.
+        self._reset_doc_memo(result.base_clusters)
+        if json.loads(encode_state_payload(self._state_document())) != document:
+            raise CorruptSnapshot(source, "state document does not re-encode to itself")

@@ -6,15 +6,15 @@ aggregates what it saw as folded stacks — the same
 ``module:function;module:function N`` format the span exporter emits
 (:mod:`repro.obs.export`), except the value is a *sample count* rather
 than microseconds.  Piping :meth:`SamplingProfiler.folded_text` through
-``flamegraph.pl`` answers *where inside a phase the time goes*, which
-span timings alone cannot.
+``flamegraph.pl`` answers *where inside a phase the time goes*, below
+the per-layer self times that spans and neatbench's ``--trace 1`` give.
 
 Design constraints:
 
 * **off by default, free when off** — nothing is created or sampled
   until :meth:`start`; the instrumented code paths never reference the
   profiler (it observes from outside via the interpreter's frame table),
-  so the disabled-telemetry overhead gate
+  so CI's disabled-telemetry < 2% overhead gate
   (``bench_observability_overhead``) is untouched;
 * **span-phase attribution** — pass ``phase=phase_from_tracer(tracer)``
   and every sample is prefixed with the innermost open span's name, so

@@ -313,22 +313,22 @@ class WorkerPool:
         return [(key, handle.name) for key, handle in self._published.items()]
 
     # -- lifecycle -----------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    def _ensure_executor(self, counter: str = "pool.starts") -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_worker_init,
                 initargs=(self._specs(),),
             )
-            _bump("pool.starts")
+            _bump(counter)
         return self._executor
 
     def _restart(self) -> None:
+        """Replace live workers; counts as a restart, not a cold start."""
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-            _bump("pool.restarts")
-        self._ensure_executor()
+        self._ensure_executor("pool.restarts")
 
     def grow(self, max_workers: int) -> None:
         """Raise the worker count (restarts live workers if needed)."""

@@ -13,8 +13,8 @@ datasets (the specs are deterministic functions of their fields).
   objects each; the optimization-loop rung (what the perf benches run).
 * ``stress`` — the paper-scale rung: the full-size ATL network with 5000
   objects (~0.8M points, Table II's ATL5000).  Its ``smoke_specs``
-  shrink the same shape to a CI-feasible size for
-  ``bench_paper_scale.py --smoke``.
+  shrink the same shape to a CI-feasible size, whose counters
+  ``tests/test_tune.py`` pins.
 """
 
 from __future__ import annotations

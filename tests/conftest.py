@@ -98,6 +98,11 @@ def star4() -> RoadNetwork:
 @pytest.fixture
 def grid3x3() -> RoadNetwork:
     """A full 3x3 lattice: 9 nodes, 12 segments, spacing 100 m."""
+    return grid3x3_network()
+
+
+def grid3x3_network() -> RoadNetwork:
+    """The ``grid3x3`` fixture's network, for module-scoped fixtures."""
     coordinates = [(c * 100.0, r * 100.0) for r in range(3) for c in range(3)]
     edges = []
     for r in range(3):

@@ -111,6 +111,51 @@ class TestLedger:
         assert "## x (ATL, profile small)" in report
         assert "## x (ATL, profile stress)" in report
 
+    def test_append_neatbench_record(self, bench_history, tmp_path):
+        # A neatbench run record enters the ledger as bench "neatbench":
+        # keyed by its workload, stamped with the revision it measured,
+        # carrying the result's values plus cpu_count and digest.
+        ledger = tmp_path / "ledger.jsonl"
+        record = {
+            "workload": "batch_dense",
+            "environment": {
+                "cpu_count": 2, "git_sha": "4adc48b" + "0" * 33,
+                "git_dirty": False, "seed": 7,
+            },
+            "digest": "ab12",
+            "result": {
+                "correct": True, "attempted": 3, "failed": 0,
+                "metrics": {
+                    "setup_s": {"value": 0.9, "unit": "s"},
+                    "peak_rss_mb": {"value": 139.0, "unit": "MB"},
+                },
+            },
+        }
+        artifact = tmp_path / "batch_dense-seed7-trace0.json"
+        artifact.write_text(json.dumps(record))
+        entry = bench_history.append_entry(artifact, path=ledger)
+        assert entry["bench"] == "neatbench"
+        assert entry["workload"] == "batch_dense"
+        assert entry["git_sha"] == "4adc48b"
+        assert entry["metrics"] == {
+            "setup_s": 0.9, "peak_rss_mb": 139.0,
+            "cpu_count": 2, "digest": "ab12",
+        }
+        # A traced run is its own series; a dirty tree is marked.
+        record["layer_self_s"] = {"phase1": 0.3}
+        record["environment"]["git_dirty"] = True
+        artifact.write_text(json.dumps(record))
+        traced = bench_history.append_entry(artifact, path=ledger)
+        assert traced["workload"] == "batch_dense/trace"
+        assert traced["git_sha"] == "4adc48b-dirty"
+        assert bench_history.load_ledger(ledger) == [entry, traced]
+        # A run that failed its correctness gates never enters the ledger.
+        record["result"]["correct"] = False
+        artifact.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="correctness gates"):
+            bench_history.append_entry(artifact, path=ledger)
+        assert len(bench_history.load_ledger(ledger)) == 2
+
     def test_bench_name_requires_convention(self, bench_history, tmp_path):
         rogue = tmp_path / "results.json"
         rogue.write_text("{}")
@@ -152,6 +197,10 @@ class TestVerify:
         assert bench_history.verify() == []
         entries = bench_history.load_ledger()
         assert {e["bench"] for e in entries} >= set(bench_history.KNOWN_BENCHES)
+        # Every repository-benchmark workload has an untraced entry.
+        spec = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())
+        recorded = {e["workload"] for e in entries if e["bench"] == "neatbench"}
+        assert recorded >= {w["name"] for w in spec["workloads"]}
 
 
 class TestReport:

@@ -236,10 +236,25 @@ def _digest(result) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def oracle_smoke():
+    """ATL with 40 objects at eps 1600: the input whose Dijkstra work is pinned."""
+    from repro.experiments.workloads import (
+        WorkloadSpec,
+        build_dataset,
+        build_network,
+    )
+
+    network = build_network("ATL")
+    return network, build_dataset(network, WorkloadSpec("ATL", 40)), 1600.0
+
+
 class TestOracleTierEquivalence:
-    def test_tiered_matches_pairwise_clusters_and_stats(self, small_workload):
-        network, dataset = small_workload
-        config = NEATConfig(eps=1000.0, min_card=0)
+    """Per-pair, tiered and tiered+LLB oracles give identical clusters."""
+
+    @staticmethod
+    def _tiered_matches_pairwise(network, dataset, eps):
+        config = NEATConfig(eps=eps, min_card=0)
         results = {"tiered": NEAT(network, config).run_opt(list(dataset))}
         with pairwise_reference():
             results["pairwise"] = NEAT(network, config).run_opt(list(dataset))
@@ -259,15 +274,55 @@ class TestOracleTierEquivalence:
             < pairwise.shortest_path_computations
         )
 
-    def test_llb_never_changes_clusters(self, small_workload):
-        network, dataset = small_workload
+    @staticmethod
+    def _llb_never_changes_clusters(network, dataset, eps):
         results = {}
         for use_llb in (False, True):
             neat = NEAT(
-                network, NEATConfig(eps=1000.0, min_card=0, use_llb=use_llb)
+                network, NEATConfig(eps=eps, min_card=0, use_llb=use_llb)
             )
             results[use_llb] = neat.run_opt(list(dataset))
         assert _digest(results[True]) == _digest(results[False])
+
+    def test_tiered_matches_pairwise_clusters_and_stats(self, small_workload):
+        self._tiered_matches_pairwise(*small_workload, 1000.0)
+
+    def test_llb_never_changes_clusters(self, small_workload):
+        self._llb_never_changes_clusters(*small_workload, 1000.0)
+
+    def test_oracle_smoke_tiered_matches_pairwise(self, oracle_smoke):
+        self._tiered_matches_pairwise(*oracle_smoke)
+
+    def test_oracle_smoke_llb_never_changes_clusters(self, oracle_smoke):
+        self._llb_never_changes_clusters(*oracle_smoke)
+
+
+class TestOracleSmokeCounters:
+    """The tiered oracle's Dijkstra work on the smoke input, pinned with
+    10% headroom: a broken prune tier or grouping planner fails here."""
+
+    @staticmethod
+    def _tiered_run(network, dataset, eps) -> dict:
+        neat = NEAT(network, NEATConfig(eps=eps, min_card=0))
+        result = neat.run_opt(list(dataset))
+        engine = neat.engine
+        return {
+            "digest": _digest(result),
+            "refinement_stats": result.refinement_stats,
+            "sp_computations": engine.computations,
+            "grouped_searches": engine.grouped_searches,
+            "nodes_expanded": engine.nodes_expanded,
+            "cache_hits": engine.cache_hits,
+        }
+
+    def test_counters_within_committed_bounds(self, oracle_smoke):
+        run = self._tiered_run(*oracle_smoke)
+        assert run["sp_computations"] <= 1.10 * 48
+        assert run["nodes_expanded"] <= 1.10 * 6_555
+
+    def test_repeated_run_gives_identical_counters(self, oracle_smoke):
+        first = self._tiered_run(*oracle_smoke)
+        assert self._tiered_run(*oracle_smoke) == first
 
 
 def detour_network():

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.roadnet.shortest_path as sp_module
 from repro.core import NEAT, NEATConfig
 from repro.errors import ConfigError
 from repro.mobisim.simulator import SimulationConfig, simulate_dataset
-from repro.parallel import effective_workers, resolve_workers
+from repro.parallel import effective_workers, pool_counters, resolve_workers
 from repro.roadnet import GridConfig, generate_grid_network
 
 from conftest import dijkstra_reference_engine
@@ -71,9 +72,21 @@ def _cluster_key(result):
     )
 
 
+def _pooled_batches() -> int:
+    return pool_counters()["pool.batches"]
+
+
 class TestPipelineAgreement:
     """Acceptance: identical output across worker counts and against the
-    plain-Dijkstra reference."""
+    plain-Dijkstra reference.
+
+    This input plans too few grouped searches to clear the production
+    per-worker floor, so the floor is forced to 1 and every pooled run
+    must show a pool batch: the comparison cannot quietly go serial."""
+
+    @pytest.fixture(autouse=True)
+    def _reach_the_pool(self, monkeypatch):
+        monkeypatch.setattr(sp_module, "MIN_GROUPS_PER_WORKER", 1)
 
     def test_workers_and_backends_agree(self, workload):
         network, dataset = workload
@@ -83,8 +96,10 @@ class TestPipelineAgreement:
             ("parallel", 4, None),
             ("reference", 1, dijkstra_reference_engine(network)),
         ):
+            batches = _pooled_batches()
             neat = NEAT(network, NEATConfig(eps=1500.0, workers=workers), engine=engine)
             runs[label] = (neat.run_opt(dataset), neat.engine)
+            assert (_pooled_batches() - batches >= 1) == (workers > 1), label
         keys = {label: _cluster_key(result) for label, (result, _) in runs.items()}
         assert keys["serial"] == keys["parallel"] == keys["reference"]
 
@@ -106,9 +121,11 @@ class TestPipelineAgreement:
         network, dataset = workload
         outs = []
         for workers in (1, 4):
+            batches = _pooled_batches()
             neat = NEAT(
                 network,
                 NEATConfig(eps=1200.0, workers=workers, use_elb=False),
             )
             outs.append(_cluster_key(neat.run_opt(dataset)))
+            assert (_pooled_batches() - batches >= 1) == (workers > 1)
         assert outs[0] == outs[1]

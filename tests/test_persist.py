@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import NEATConfig
 from repro.core.incremental import IncrementalNEAT
+from repro.core.serialize import result_to_dict
 from repro.errors import CorruptSnapshot, PersistenceError, TornWrite
 from repro.obs.metrics import MetricsRegistry
 from repro.persist import (
@@ -254,6 +255,35 @@ class TestCheckpointManager:
         )
         assert seq == 7
         assert decoded == batch
+
+
+class TestDurabilityNeverChangesAnswers:
+    def test_persistence_modes_serve_identical_documents(
+        self, tmp_path, small_workload
+    ):
+        # No persistence, journal only, and a checkpoint after every
+        # batch must serve byte-identical clusterings.
+        network, dataset = small_workload
+        trajectories = list(dataset)
+        batches = [trajectories[i:i + 15] for i in range(0, len(trajectories), 15)]
+        documents = {}
+        for mode, checkpoint_every in (("off", None), ("journal", 0), ("every", 1)):
+            clusterer = IncrementalNEAT(network, NEATConfig(min_card=0))
+            if checkpoint_every is not None:
+                clusterer.enable_persistence(
+                    tmp_path / mode, checkpoint_every=checkpoint_every, fsync=False
+                )
+            for batch in batches:
+                clusterer.add_batch(batch, auto_offset_ids=True)
+            if mode == "every":
+                generations = clusterer._persist.snapshots.generations()
+                assert [g.watermark for g in generations][-1] == len(batches)
+            documents[mode] = json.dumps(
+                result_to_dict(clusterer.snapshot_result()), sort_keys=True
+            )
+        assert json.loads(documents["off"])["clusters"]
+        assert documents["journal"] == documents["off"]
+        assert documents["every"] == documents["off"]
 
 
 class TestStatePayloadEncoder:

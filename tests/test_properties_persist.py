@@ -8,12 +8,17 @@ Three durability invariants, fuzzed rather than example-tested:
 * flipping any single bit of a sealed snapshot envelope is always
   detected (typed error, never a silently different payload);
 * journal replay after random truncation recovers exactly the state a
-  never-crashed run reaches over the surviving record prefix.
+  never-crashed run reaches over the surviving record prefix;
+* a state snapshot with one field perturbed and a valid checksum either
+  fails recovery with a typed error or recovers a state whose document
+  re-encodes to exactly the perturbed one — the decoder never silently
+  ignores, normalizes or drops a field.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -21,13 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trajectory_through
+from conftest import grid3x3_network, trajectory_through
 from repro.core import NEATConfig
 from repro.core.incremental import IncrementalNEAT
 from repro.core.serialize import result_to_dict
-from repro.errors import PersistenceError
+from repro.errors import CorruptSnapshot, PersistenceError
 from repro.persist import (
+    SnapshotStore,
     encode_frame,
+    encode_state_payload,
     scan_frames,
     seal_snapshot,
     unseal_snapshot,
@@ -137,3 +144,129 @@ class TestJournalReplayProperties:
                 result_to_dict(reference.snapshot_result(), "fuzz"),
                 sort_keys=True,
             )
+
+
+#: Batches of routes (segment ids) on the 3x3 grid: the state they build
+#: holds flows, noise flows and a two-flow cluster.
+_STATE_BATCHES = (
+    ((0, 2, 4), (0, 2, 4), (0, 2), (5,)),
+    ((10, 11), (10, 11), (5,)),
+    ((1, 6), (5, 7), (0, 2, 4), (0, 2, 4)),
+)
+_STATE_CONFIG = NEATConfig(min_card=2, eps=150.0)
+
+
+@pytest.fixture(scope="module")
+def state_template(tmp_path_factory):
+    """A state dir checkpointed after every batch, and its network."""
+    network = grid3x3_network()
+    state_dir = tmp_path_factory.mktemp("state")
+    clusterer = IncrementalNEAT(network, _STATE_CONFIG)
+    clusterer.enable_persistence(state_dir, checkpoint_every=1, fsync=False)
+    trid = 0
+    for index, routes in enumerate(_STATE_BATCHES):
+        batch = []
+        for route in routes:
+            batch.append(
+                trajectory_through(network, trid, list(route), t0=float(index))
+            )
+            trid += 1
+        clusterer.add_batch(batch)
+    result = clusterer._state_document()["result"]
+    assert result["noise_flows"]
+    assert any(len(cluster["flow_indices"]) == 2 for cluster in result["clusters"])
+    return network, state_dir
+
+
+def _draw_field(data, document):
+    """(container, key) of one field, by a random walk from the root.
+
+    Each level is as likely as the next, so the few top-level fields are
+    not drowned out by the many location rows."""
+    container = document
+    while True:
+        keys = list(container) if isinstance(container, dict) else range(len(container))
+        key = data.draw(st.sampled_from(keys))
+        child = container[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans()):
+            return container, key
+        container = child
+
+
+_json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=20),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(min_value=-1, max_value=20), max_size=3),
+    st.just({}),
+)
+
+
+def _reseal(state_dir: Path, edit) -> dict:
+    """Apply ``edit`` to the newest snapshot's document and reseal it."""
+    generation, payload = SnapshotStore(state_dir / "snapshots").read_latest()
+    document = json.loads(payload)
+    edit(document)
+    generation.path.write_bytes(seal_snapshot(json.dumps(document).encode("utf-8")))
+    return document
+
+
+def _recovered_document(network, state_dir: Path) -> dict:
+    recovered = IncrementalNEAT.recover(state_dir, network, _STATE_CONFIG, fsync=False)
+    return json.loads(encode_state_payload(recovered._state_document()))
+
+
+class TestSnapshotDecoderProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_perturbed_state_is_refused_or_reencodes_exactly(
+        self, state_template, data
+    ):
+        network, template = state_template
+
+        def perturb(document):
+            container, key = _draw_field(data, document)
+            action = data.draw(st.sampled_from(["replace", "delete", "repeat"]))
+            if action == "replace":
+                container[key] = data.draw(_json_values)
+            elif action == "delete":
+                del container[key]
+            elif isinstance(container, list):
+                container.insert(key, container[key])
+            else:
+                container[key] = [container[key]] * 2
+
+        with tempfile.TemporaryDirectory() as tmp:
+            state_dir = Path(tmp) / "state"
+            shutil.copytree(template, state_dir)
+            document = _reseal(state_dir, perturb)
+            try:
+                again = _recovered_document(network, state_dir)
+            except PersistenceError:
+                return
+            assert again == document
+
+
+class TestSnapshotDecoderRegressions:
+    def test_interleaved_state_reencodes_exactly(self, state_template, tmp_path):
+        # Checkpoints after every batch list each batch's noise-flow base
+        # clusters before the next batch's flows; recovery keeps that order.
+        network, template = state_template
+        shutil.copytree(template, tmp_path / "state")
+        document = _reseal(tmp_path / "state", lambda document: None)
+        assert _recovered_document(network, tmp_path / "state") == document
+
+    @pytest.mark.parametrize("edit", [
+        lambda document: document.pop("network_name"),
+        lambda document: document["result"].update(stale=True),
+        lambda document: document["result"]["flows"][0]["member_sids"].reverse(),
+    ], ids=["no-network-name", "stale", "member-sids"])
+    def test_ignored_field_is_corruption(self, state_template, tmp_path, edit):
+        network, template = state_template
+        shutil.copytree(template, tmp_path / "state")
+        _reseal(tmp_path / "state", edit)
+        with pytest.raises(CorruptSnapshot, match="re-encode"):
+            _recovered_document(network, tmp_path / "state")

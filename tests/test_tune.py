@@ -96,6 +96,24 @@ class TestProfiles:
             parser.parse_args(["--profile", "gigantic"])
 
 
+class TestStressSmoke:
+    def test_counters_within_committed_bounds(self):
+        # The stress rung's CI stand-in, at the paper's 6500 m eps scaled
+        # with the 0.2 map; its counters are deterministic, so a 10% rise
+        # means fragmentation or merging changed.
+        from repro.core.pipeline import NEAT
+        from repro.experiments.workloads import build_dataset, build_network
+
+        spec = resolve_profile("stress").bench_spec(smoke=True)
+        network = build_network(spec.region, spec.network_scale, spec.seed)
+        dataset = build_dataset(network, spec)
+        result = NEAT(network, NEATConfig(eps=1300.0)).run_opt(dataset)
+        t_fragments = sum(len(c.fragments) for c in result.base_clusters)
+        assert t_fragments <= 1.10 * 3_906
+        assert 0 < len(result.flows) <= 1.10 * 13
+        assert len(result.clusters) <= 1.10 * 8
+
+
 class TestPassport:
     @pytest.fixture(scope="class")
     def passport(self):

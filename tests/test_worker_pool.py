@@ -145,10 +145,25 @@ class TestResources:
         late = csr_resource(other, directed=False)
         pool.ensure_resource(late)
         assert _delta(before, "pool.restarts") == 1
+        assert _delta(before, "pool.starts") == 1  # not a second cold start
         assert pool.resource_value(late.key) is other.csr(False)
         # The restarted workers attach the late snapshot too.
         pairs = _pairs(other)
         assert _fan(other, pairs) == _expected(other, pairs)
+
+    def test_growth_restart_is_not_a_cold_start(self):
+        network = _grid(1)
+        pairs = _pairs(network)
+        get_pool(1)
+        before = pool_counters()
+        _fan(network, pairs, workers=2)
+        get_pool(2)  # already at 2 workers: no restart
+        assert _delta(before, "pool.starts") == 1
+        assert _delta(before, "pool.restarts") == 0
+        get_pool(3)  # grows the running pool
+        assert _delta(before, "pool.starts") == 1
+        assert _delta(before, "pool.restarts") == 1
+        assert _fan(network, pairs, workers=3) == _expected(network, pairs)
 
     def test_new_version_evicts_stale_ident(self):
         from repro.roadnet.sharedcsr import SharedCSR
