@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.core import NEAT, NEATConfig, Location, Trajectory
 from repro.roadnet import load_network_csv
-from repro.roadnet.shortest_path import dijkstra_distance
+from repro.roadnet.shortest_path import ShortestPathEngine
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -48,7 +48,7 @@ print(f"Loaded {network}")
 
 # The Euclidean vs network gap at the west bridgeheads (nodes 0 and 6):
 euclid = network.node_point(0).distance_to(network.node_point(6))
-net = dijkstra_distance(network, 0, 6)
+net = ShortestPathEngine(network).distance(0, 6)
 print(
     f"West bridgeheads: Euclidean {euclid:.0f} m, network {net:.0f} m "
     f"({net / euclid:.0f}x further by road)"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..errors import CorruptSnapshot, PersistenceError, RecoveryError
+from ..errors import CorruptSnapshot, PersistenceError, RecoveryError, ReproError
 from ..obs import Telemetry, get_logger
 from ..persist.checkpoint import (
     CheckpointManager,
@@ -48,6 +48,7 @@ from .serialize import (
     _flow_to_dict,
     result_from_dict,
 )
+from .validate import validate_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience import FaultInjector
@@ -652,12 +653,22 @@ class IncrementalNEAT:
                 f"snapshot was written for network {network_name!r}, "
                 f"not {self.network.name!r}",
             )
-        result = result_from_dict(result_document, self.network)
+        try:
+            result = result_from_dict(result_document, self.network)
+        except (ReproError, ValueError, TypeError, KeyError, IndexError) as error:
+            raise CorruptSnapshot(source, f"result does not decode: {error!r}") from error
         self._flows = list(result.flows)
         self._noise_flows = list(result.noise_flows)
         self._clusters = list(result.clusters)
         self._seen_trids = set(seen_trids)
         self._batches = watermark
+        # The served view must pass the check every read applies, and the
+        # noise flows and fragments behind it must be ones a run makes.
+        errors = validate_result(
+            self.snapshot_result(), self.network, allow_shared_segments=True
+        ).errors + _state_errors(result, self._seen_trids)
+        if errors:
+            raise CorruptSnapshot(source, errors[0])
         # Accept only documents this class writes: kept in the document's
         # own base-cluster order, the restored state must re-encode to it.
         # A field that recovery would ignore or normalize (a stale flag,
@@ -666,3 +677,28 @@ class IncrementalNEAT:
         self._reset_doc_memo(result.base_clusters)
         if json.loads(encode_state_payload(self._state_document())) != document:
             raise CorruptSnapshot(source, "state document does not re-encode to itself")
+
+
+def _state_errors(result: NEATResult, seen_trids: set[int]) -> list[str]:
+    """What no state this class writes can hold, beyond the served view.
+
+    Every fragment spans two locations at least and comes from a seen
+    trajectory, and the kept and noise flows partition the base clusters
+    themselves, not just their segments (each batch keeps its own).
+    """
+    errors = []
+    for cluster in result.base_clusters:
+        for fragment in cluster.fragments:
+            where = f"fragment of trajectory {fragment.trid} on segment {cluster.sid}"
+            if len(fragment.locations) < 2:
+                errors.append(f"{where} has fewer than 2 locations")
+            if fragment.trid not in seen_trids:
+                errors.append(f"{where} is from an unseen trajectory")
+    members = [
+        id(member)
+        for flow in (*result.flows, *result.noise_flows)
+        for member in flow.members
+    ]
+    if sorted(members) != sorted(map(id, result.base_clusters)):
+        errors.append("kept and noise flows do not partition the base clusters")
+    return errors

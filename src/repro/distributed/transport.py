@@ -18,8 +18,11 @@ client can tell corruption from loss).
 
 **Handshake**: the first exchange on every connection is a versioned
 hello — the client sends ``{"op": "hello", "proto": N}``, the server
-accepts or rejects with its own version.  A mismatch raises
-:class:`~repro.errors.HandshakeFailed` before any payload moves.
+accepts or rejects with its own version.  A mismatch on either side
+raises :class:`~repro.errors.HandshakeFailed` before any payload moves.
+A message or reply that is not a JSON object gets a typed error too: the
+server answers ``ok: false`` (counted in ``bad_frames``) and closes, the
+client raises :class:`~repro.errors.MalformedPayload`.
 
 **RPCs** are JSON objects (``sort_keys=True`` end to end, so two
 identical runs put byte-identical frames on the wire): ``ping``,
@@ -539,6 +542,8 @@ class ShardNode:
         the strongest action.  Op failures come back as ``ok: false``
         replies; this method never raises.
         """
+        if not isinstance(message, dict):
+            return _protocol_error("message is not a JSON object"), "keep"
         op = message.get("op")
         try:
             payload = message.get("payload") or {}
@@ -711,6 +716,10 @@ class _ShardHandler(socketserver.StreamRequestHandler):
             except (ValueError, UnicodeDecodeError) as error:
                 shard.bad_frames += 1
                 self._reply(_protocol_error(f"payload is not JSON: {error}"))
+                return
+            if not isinstance(message, dict):
+                shard.bad_frames += 1
+                self._reply(_protocol_error("message is not a JSON object"))
                 return
             if not greeted:
                 if not self._handshake(shard, message):
@@ -1274,6 +1283,9 @@ class TransportClient(_NodeClient):
                 self._resend(pending)
                 return self.finish(pending)
             raise self._read_error(error, "response") from error
+        except MalformedPayload:
+            self._discard(connection)
+            raise
         if message.get("kind") == "garbled":
             # The server closes the connection after rejecting a frame;
             # reusing it would read EOF on the next call.
@@ -1306,7 +1318,14 @@ class TransportClient(_NodeClient):
             "transport.bytes_received", "Payload bytes read from the wire",
             amount=len(payload),
         )
-        return json.loads(payload.decode("utf-8"))
+        try:
+            message = json.loads(payload.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is a ValueError too
+            message = None
+        if not isinstance(message, dict):
+            self._inc("transport.errors", "Wire calls that failed")
+            raise MalformedPayload(f"reply from {self.address} is not a JSON object")
+        return message
 
     def _read_error(self, error: BaseException, what: str) -> TransportError:
         """The :class:`TransportError` for a failed :meth:`_read`."""
@@ -1323,11 +1342,11 @@ class TransportClient(_NodeClient):
             message = self._read(rfile)
         except _READ_ERRORS as error:
             raise self._read_error(error, "handshake") from error
-        if not message.get("ok"):
+        if not message.get("ok") or message.get("proto") != self.proto:
             self._inc("transport.errors", "Wire calls that failed")
-            raise HandshakeFailed(
-                self.address, str(message.get("error", "rejected"))
-            )
+            raise HandshakeFailed(self.address, str(message.get(
+                "error", f"server answered protocol {message.get('proto')!r}"
+            )))
         self._inc("transport.handshakes", "Versioned handshakes completed")
 
 

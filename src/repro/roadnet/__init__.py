@@ -27,10 +27,6 @@ from .shortest_path import (
     INFINITY,
     Route,
     ShortestPathEngine,
-    dijkstra_distance,
-    dijkstra_distance_counted,
-    dijkstra_multi_target,
-    dijkstra_single_source,
     plan_source_groups,
     shortest_route,
 )
@@ -59,10 +55,6 @@ __all__ = [
     "build_csr",
     "clip_trajectories",
     "crop_network",
-    "dijkstra_distance",
-    "dijkstra_distance_counted",
-    "dijkstra_multi_target",
-    "dijkstra_single_source",
     "format_table1",
     "generate_grid_network",
     "generate_radial_network",

@@ -1,47 +1,52 @@
-"""Flat-array (CSR) shortest-path core.
+"""Flat-array (CSR) shortest-path core: the one search implementation.
 
-The legacy searches in :mod:`~repro.roadnet.shortest_path` walk the
-mutable :class:`~repro.roadnet.RoadNetwork` through dict-of-lists
-adjacency, building neighbor tuples on every visit.  That is fine for
-correctness work, but Phase 3 of NEAT runs thousands of point-to-point
-queries per clustering run and the allocation churn dominates.  This
-module freezes a network into a :class:`CSRGraph` — a compressed sparse
-row snapshot whose adjacency is four flat parallel lists indexed by a
-dense ``0..n-1`` node index — and runs Dijkstra over plain list reads:
+A :class:`CSRGraph` freezes a :class:`~repro.roadnet.RoadNetwork` into a
+compressed sparse row snapshot whose adjacency is four flat parallel
+columns indexed by a dense ``0..n-1`` node index, plus float64 node
+coordinate columns.  Every shortest-path search in the library runs over
+it, one kernel per job:
 
-* :meth:`CSRGraph.single_source` — (bounded) single-source distances;
-* :meth:`CSRGraph.distance_counted` — (bounded) point-to-point Dijkstra;
-* :meth:`CSRGraph.bidirectional_distance_counted` — point-to-point
-  search growing a forward and a backward frontier, settling roughly
+* :meth:`CSRGraph.bidirectional_distance_counted` — (bounded) point
+  distances, growing a forward and a backward frontier; settles roughly
   ``2*sqrt`` of the nodes a unidirectional search would;
-* :meth:`CSRGraph.shortest_route` — point-to-point with path recovery.
+* :meth:`CSRGraph.multi_target_distances` — one bounded search answering
+  a whole target set (Phase 3's grouped searches);
+* :meth:`CSRGraph.shortest_route` — A* with path recovery under the
+  Euclidean heuristic (Phase 1 junction crossings and the simulator);
+* :meth:`CSRGraph.single_source` — (bounded) single-source distance
+  tables (the landmark tables).
+
+The dict-of-lists walkers these kernels replaced live on in the test
+suite as the reference they are checked against.
 
 Storage is typed :class:`array.array` buffers (``'q'`` int64 for the
-structure arrays, ``'d'`` float64 for weights), so every column exposes
-the buffer protocol: a snapshot can be copied byte-for-byte into a
-:mod:`multiprocessing.shared_memory` segment and *attached* zero-copy in
-worker processes as ``memoryview`` casts over the shared buffer (see
-:mod:`repro.roadnet.sharedcsr`).  Indexing semantics are identical
-across backings — the Dijkstra loops below never know whether they read
-a private array or a shared mapping.
+structure arrays, ``'d'`` float64 for weights and coordinates), so every
+column exposes the buffer protocol: a snapshot can be copied
+byte-for-byte into a :mod:`multiprocessing.shared_memory` segment and
+*attached* zero-copy in worker processes as ``memoryview`` casts over the
+shared buffer (see :mod:`repro.roadnet.sharedcsr`).  Indexing semantics
+are identical across backings — the search loops below never know
+whether they read a private array or a shared mapping.
 
 Snapshots are immutable and picklable (attached views materialize into
-private arrays on pickle), so read-only copies can still be shipped the
-legacy way when shared memory is unavailable.  ``RoadNetwork.csr``
-builds and caches one per direction mode, invalidating on mutation.
+private arrays on pickle).  ``RoadNetwork.csr`` builds and caches one per
+direction mode, invalidating on mutation.  Each node's edges are stored
+in the network's incidence order, so a search relaxes parallel segments
+in the order they were added, whatever their sids.
 
-Exactness: for a unique shortest path, the unidirectional searches
-return bit-identical floats to the legacy dict backend (same additions
-in the same order along the path).  The bidirectional search sums the
+Exactness: the unidirectional searches add the same floats in the same
+order along a path as a textbook dict-of-lists Dijkstra, so their
+distances are bit-identical to it.  The bidirectional search sums the
 two half-paths separately, so its result can differ in the last ulp;
-callers comparing across backends should allow a relative tolerance of
-~1e-12 (decision thresholds like Phase 3's ``eps`` are unaffected).
+callers comparing kernels should allow a relative tolerance of ~1e-12
+(decision thresholds like Phase 3's ``eps`` are unaffected).
 """
 
 from __future__ import annotations
 
 from array import array
 from heapq import heappop, heappush
+from math import hypot
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..errors import NoPathError, UnknownNodeError
@@ -60,6 +65,8 @@ class CSRGraph:
             view additionally carries a reverse adjacency (incoming
             edges) so bidirectional search can grow a backward frontier.
         node_ids: Original junction ids, ascending; position = CSR index.
+        xs/ys: Junction coordinates in metres, by CSR index (the A*
+            heuristic of :meth:`shortest_route`).
         indptr: ``indptr[i]:indptr[i+1]`` slices the edge lists of node
             ``i`` (forward / outgoing view).
         adj: Neighbor CSR indices, one entry per directed edge.
@@ -72,6 +79,8 @@ class CSRGraph:
     __slots__ = (
         "directed",
         "node_ids",
+        "xs",
+        "ys",
         "index_of",
         "indptr",
         "adj",
@@ -81,41 +90,15 @@ class CSRGraph:
         "radj",
         "rsids",
         "rweights",
+        "_boxed",
     )
 
     def __init__(
         self,
         directed: bool,
-        node_ids: list[int],
-        edges: list[tuple[int, int, int, float]],
-    ) -> None:
-        """Build from a dense edge list of ``(src, dst, sid, weight)``.
-
-        ``src``/``dst`` are CSR indices (not junction ids).  Use
-        :func:`build_csr` to derive one from a :class:`RoadNetwork`.
-        """
-        self.directed = directed
-        self.node_ids = array("q", node_ids)
-        self.index_of = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.indptr, self.adj, self.sids, self.weights = _pack(
-            len(node_ids), edges
-        )
-        if directed:
-            reverse = [(dst, src, sid, w) for src, dst, sid, w in edges]
-            self.rindptr, self.radj, self.rsids, self.rweights = _pack(
-                len(node_ids), reverse
-            )
-        else:
-            self.rindptr = self.indptr
-            self.radj = self.adj
-            self.rsids = self.sids
-            self.rweights = self.weights
-
-    @classmethod
-    def from_arrays(
-        cls,
-        directed: bool,
         node_ids,
+        xs,
+        ys,
         indptr,
         adj,
         sids,
@@ -124,78 +107,50 @@ class CSRGraph:
         radj=None,
         rsids=None,
         rweights=None,
-    ) -> "CSRGraph":
-        """Wrap already-packed CSR columns without copying them.
+    ) -> None:
+        """Wrap packed CSR columns without copying them.
 
         The columns may be :class:`array.array` buffers or typed
         ``memoryview`` casts over a shared-memory segment (the zero-copy
         attach path of :class:`~repro.roadnet.sharedcsr.SharedCSR`); the
         search kernels only ever index them.  For a directed graph the
         reverse columns are required; undirected graphs alias the forward
-        ones.
+        ones.  Use :func:`build_csr` to derive a graph from a
+        :class:`RoadNetwork`.
         """
-        graph = cls.__new__(cls)
-        graph.directed = directed
-        graph.node_ids = node_ids
-        graph.index_of = {nid: i for i, nid in enumerate(node_ids)}
-        graph.indptr = indptr
-        graph.adj = adj
-        graph.sids = sids
-        graph.weights = weights
-        if directed:
-            if rindptr is None or radj is None or rsids is None or rweights is None:
-                raise ValueError("directed CSR needs its reverse columns")
-            graph.rindptr = rindptr
-            graph.radj = radj
-            graph.rsids = rsids
-            graph.rweights = rweights
-        else:
-            graph.rindptr = indptr
-            graph.radj = adj
-            graph.rsids = sids
-            graph.rweights = weights
-        return graph
-
-    # ------------------------------------------------------------------
-    # Pickling: materialize the columns into private typed arrays so a
-    # snapshot ships to a process even when its storage is a memoryview
-    # over someone else's shared segment; ``index_of`` is rebuilt on the
-    # receiving side instead of being serialized.
-    def __getstate__(self) -> dict:
-        state = {
-            "directed": self.directed,
-            "node_ids": array("q", self.node_ids),
-            "indptr": array("q", self.indptr),
-            "adj": array("q", self.adj),
-            "sids": array("q", self.sids),
-            "weights": array("d", self.weights),
-        }
-        if self.directed:
-            state["rindptr"] = array("q", self.rindptr)
-            state["radj"] = array("q", self.radj)
-            state["rsids"] = array("q", self.rsids)
-            state["rweights"] = array("d", self.rweights)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        directed = state["directed"]
+        if not directed:
+            rindptr, radj, rsids, rweights = indptr, adj, sids, weights
+        elif any(column is None for column in (rindptr, radj, rsids, rweights)):
+            raise ValueError("directed CSR needs its reverse columns")
         self.directed = directed
-        self.node_ids = state["node_ids"]
-        self.index_of = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.indptr = state["indptr"]
-        self.adj = state["adj"]
-        self.sids = state["sids"]
-        self.weights = state["weights"]
-        if directed:
-            self.rindptr = state["rindptr"]
-            self.radj = state["radj"]
-            self.rsids = state["rsids"]
-            self.rweights = state["rweights"]
-        else:
-            self.rindptr = self.indptr
-            self.radj = self.adj
-            self.rsids = self.sids
-            self.rweights = self.weights
+        self.node_ids, self.xs, self.ys = node_ids, xs, ys
+        self.index_of = {nid: i for i, nid in enumerate(node_ids)}
+        self.indptr, self.adj, self.sids, self.weights = indptr, adj, sids, weights
+        self.rindptr, self.radj, self.rsids, self.rweights = rindptr, radj, rsids, rweights
+        self._boxed = None
+
+    def columns(self) -> tuple[tuple[str, Sequence], ...]:
+        """``(typecode, column)`` pairs in constructor order.
+
+        The reverse columns are listed only when the graph is directed.
+        """
+        forward = (
+            ("q", self.node_ids), ("d", self.xs), ("d", self.ys),
+            ("q", self.indptr), ("q", self.adj), ("q", self.sids), ("d", self.weights),
+        )
+        if not self.directed:
+            return forward
+        return forward + (
+            ("q", self.rindptr), ("q", self.radj), ("q", self.rsids), ("d", self.rweights),
+        )
+
+    def __reduce__(self):
+        # Pickle private typed copies of the columns, so a snapshot ships
+        # to a process even when its storage is a memoryview over someone
+        # else's shared segment; ``index_of`` is rebuilt on arrival.
+        return CSRGraph, (
+            self.directed, *(array(code, column) for code, column in self.columns())
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -228,9 +183,8 @@ class CSRGraph:
     ) -> dict[int, float]:
         """Distances from ``source`` to every node within ``max_distance``.
 
-        Drop-in equivalent of
-        :func:`~repro.roadnet.shortest_path.dijkstra_single_source` on
-        this snapshot's direction mode; keys are original junction ids.
+        Keys are original junction ids; the search follows this
+        snapshot's direction mode.
         """
         s = self._index(source)
         n = len(self.node_ids)
@@ -254,41 +208,6 @@ class CSRGraph:
                     dist[v] = nd
                     heappush(heap, (nd, v))
         return out
-
-    def distance_counted(
-        self, source: int, target: int, cutoff: float = INFINITY
-    ) -> tuple[float, int]:
-        """Unidirectional point-to-point Dijkstra.
-
-        Returns ``(distance, settled_nodes)``; distance is
-        :data:`INFINITY` when ``target`` is unreachable within ``cutoff``.
-        """
-        s = self._index(source)
-        t = self._index(target)
-        if s == t:
-            return 0.0, 0
-        n = len(self.node_ids)
-        indptr, adj, weights = self.indptr, self.adj, self.weights
-        dist = [INFINITY] * n
-        settled = bytearray(n)
-        dist[s] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, s)]
-        expansions = 0
-        while heap:
-            d, u = heappop(heap)
-            if settled[u]:
-                continue
-            if u == t:
-                return d, expansions
-            settled[u] = 1
-            expansions += 1
-            for k in range(indptr[u], indptr[u + 1]):
-                v = adj[k]
-                nd = d + weights[k]
-                if nd < dist[v] and nd <= cutoff:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        return INFINITY, expansions
 
     def bidirectional_distance_counted(
         self, source: int, target: int, cutoff: float = INFINITY
@@ -362,8 +281,8 @@ class CSRGraph:
         pair, this settles outward from ``source`` once and stops as soon
         as every requested target is settled (or the frontier exceeds
         ``cutoff``).  Distances are unidirectional-Dijkstra sums, so they
-        are bit-identical to :meth:`distance_counted` / the legacy dict
-        walker for the same pair.
+        are bit-identical to a plain point-to-point Dijkstra for the same
+        pair.
 
         Returns:
             ``(found, settled_nodes)`` where ``found`` maps each target
@@ -410,81 +329,69 @@ class CSRGraph:
         return found, expansions
 
     def shortest_route(self, source: int, target: int) -> Route:
-        """Point-to-point Dijkstra with path recovery.
+        """A* with path recovery, under the Euclidean heuristic.
+
+        Every segment is at least as long as the straight chord between
+        its junctions, so the straight-line distance to ``target`` is an
+        admissible, consistent heuristic and the route is optimal.  Labels
+        are sparse dicts (a search touches a small corner of the map), the
+        heap orders ``(f, d, node)`` and a node's parent moves only on a
+        strict improvement: among equally short routes the first one
+        found wins.
 
         Returns a :class:`~repro.roadnet.shortest_path.Route` in original
         junction/segment ids.
 
         Raises:
+            UnknownNodeError: when either junction is not in the graph.
             NoPathError: when ``target`` is unreachable from ``source``.
         """
         s = self._index(source)
         t = self._index(target)
         if s == t:
             return Route((source,), (), 0.0)
-        n = len(self.node_ids)
-        indptr, adj, sids, weights = self.indptr, self.adj, self.sids, self.weights
-        dist = [INFINITY] * n
-        settled = bytearray(n)
-        parent = [-1] * n
-        parent_sid = [-1] * n
-        dist[s] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, s)]
+        indptr, adj, weights = self.indptr, self.adj, self.weights
+        xs, ys = self.xs, self.ys
+        tx, ty = xs[t], ys[t]
+        dist = {s: 0.0}
+        parent: dict[int, tuple[int, int]] = {}  # node -> (previous, edge)
+        done: set[int] = set()
+        heap = [(hypot(xs[s] - tx, ys[s] - ty), 0.0, s)]
         while heap:
-            d, u = heappop(heap)
-            if settled[u]:
+            _f, d, u = heappop(heap)
+            if u in done:
                 continue
             if u == t:
-                return self._recover(s, t, d, parent, parent_sid)
-            settled[u] = 1
+                return self._recover(s, t, d, parent)
+            done.add(u)
             for k in range(indptr[u], indptr[u + 1]):
                 v = adj[k]
                 nd = d + weights[k]
-                if nd < dist[v]:
+                if nd < dist.get(v, INFINITY):
                     dist[v] = nd
-                    parent[v] = u
-                    parent_sid[v] = sids[k]
-                    heappush(heap, (nd, v))
+                    parent[v] = (u, k)
+                    heappush(heap, (nd + hypot(xs[v] - tx, ys[v] - ty), nd, v))
         raise NoPathError(source, target)
 
     def _recover(
-        self,
-        s: int,
-        t: int,
-        length: float,
-        parent: list[int],
-        parent_sid: list[int],
+        self, s: int, t: int, length: float, parent: dict[int, tuple[int, int]]
     ) -> Route:
-        node_ids = self.node_ids
+        # Ids come from per-graph lists of boxed ints: the locations routes
+        # seed then share one int object per junction and segment, where
+        # reading the typed columns would box a fresh int per location.
+        if self._boxed is None:
+            self._boxed = (list(self.index_of), list(self.sids))
+        node_ids, edge_sids = self._boxed
         nodes = [node_ids[t]]
         sids: list[int] = []
         u = t
         while u != s:
-            sids.append(parent_sid[u])
-            u = parent[u]
+            u, k = parent[u]
+            sids.append(edge_sids[k])
             nodes.append(node_ids[u])
         nodes.reverse()
         sids.reverse()
         return Route(tuple(nodes), tuple(sids), length)
-
-    # ------------------------------------------------------------------
-    def distance_batch(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        cutoff: float = INFINITY,
-        bidirectional: bool = True,
-    ) -> list[tuple[float, int]]:
-        """``(distance, settled)`` for every pair, in order.
-
-        The unit of work shipped to worker processes by
-        :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.distance_many`;
-        also handy for warming caches serially.
-        """
-        if bidirectional:
-            search = self.bidirectional_distance_counted
-        else:
-            search = self.distance_counted
-        return [search(a, b, cutoff) for a, b in pairs]
 
 
 def _pack(
@@ -522,16 +429,37 @@ def _pack(
 def build_csr(network: "RoadNetwork", directed: bool = False) -> CSRGraph:
     """Snapshot a :class:`RoadNetwork` into a :class:`CSRGraph`.
 
+    Each node's edges follow the network's incidence order, the order
+    :meth:`~repro.roadnet.RoadNetwork.out_edges` and
+    :meth:`~repro.roadnet.RoadNetwork.undirected_neighbors` report them.
     Prefer :meth:`RoadNetwork.csr`, which memoizes the snapshot and
     invalidates it when the network is mutated.
     """
     node_ids = network.node_ids()
     index_of = {nid: i for i, nid in enumerate(node_ids)}
+    points = [network.node_point(nid) for nid in node_ids]
+    segments = network.segment_map
     edges: list[tuple[int, int, int, float]] = []
-    for segment in network.segments():
-        u = index_of[segment.node_u]
-        v = index_of[segment.node_v]
-        edges.append((u, v, segment.sid, segment.length))
-        if not directed or segment.bidirectional:
-            edges.append((v, u, segment.sid, segment.length))
-    return CSRGraph(directed, node_ids, edges)
+    for u, nid in enumerate(node_ids):
+        for sid in network.incident_segments(nid):
+            segment = segments[sid]
+            if segment.node_u == nid:
+                edges.append((u, index_of[segment.node_v], sid, segment.length))
+            elif not directed or segment.bidirectional:
+                edges.append((u, index_of[segment.node_u], sid, segment.length))
+    forward = _pack(len(node_ids), edges)
+    reverse = ()
+    if directed:
+        # Incoming edges by sid, for the backward frontier.
+        reverse = _pack(len(node_ids), sorted(
+            ((dst, src, sid, w) for src, dst, sid, w in edges),
+            key=lambda edge: edge[2],
+        ))
+    return CSRGraph(
+        directed,
+        array("q", node_ids),
+        array("d", [p.x for p in points]),
+        array("d", [p.y for p in points]),
+        *forward,
+        *reverse,
+    )

@@ -120,8 +120,16 @@ class LandmarkOracle:
 
         Optimal because the ALT bound is a consistent heuristic.
         """
+        return self._search(source, target)[0]
+
+    def settled_estimate(self, source: int, target: int) -> int:
+        """Nodes settled by the ALT search (for the acceleration bench)."""
+        return self._search(source, target)[1]
+
+    def _search(self, source: int, target: int) -> tuple[float, int]:
+        """``(distance, settled nodes)`` of one ALT-guided A* search."""
         if source == target:
-            return 0.0
+            return 0.0, 0
         network = self._network
         if not network.has_node(source):
             raise UnknownNodeError(source)
@@ -137,7 +145,7 @@ class LandmarkOracle:
             if node in done:
                 continue
             if node == target:
-                return d
+                return d, len(done)
             done.add(node)
             for neighbor, _sid, length in network.undirected_neighbors(node):
                 nd = d + length
@@ -146,31 +154,4 @@ class LandmarkOracle:
                     heapq.heappush(
                         heap, (nd + self.lower_bound(neighbor, target), nd, neighbor)
                     )
-        return INFINITY
-
-    def settled_estimate(self, source: int, target: int) -> int:
-        """Nodes settled by the ALT search (for the acceleration bench)."""
-        if source == target:
-            return 0
-        network = self._network
-        dist: dict[int, float] = {source: 0.0}
-        done: set[int] = set()
-        heap: list[tuple[float, float, int]] = [
-            (self.lower_bound(source, target), 0.0, source)
-        ]
-        while heap:
-            _f, d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            if node == target:
-                return len(done)
-            done.add(node)
-            for neighbor, _sid, length in network.undirected_neighbors(node):
-                nd = d + length
-                if nd < dist.get(neighbor, INFINITY):
-                    dist[neighbor] = nd
-                    heapq.heappush(
-                        heap, (nd + self.lower_bound(neighbor, target), nd, neighbor)
-                    )
-        return len(done)
-
+        return INFINITY, len(done)

@@ -7,7 +7,7 @@ publishes a snapshot's typed columns once into one
 :class:`multiprocessing.shared_memory.SharedMemory` segment, and lets
 worker processes *attach* it read-only: the attach builds typed
 ``memoryview`` casts over the shared buffer and wraps them with
-:meth:`CSRGraph.from_arrays`, so no graph bytes are copied or unpickled
+the :class:`CSRGraph` constructor, so no graph bytes are copied or unpickled
 per worker — the OS maps the same physical pages everywhere.
 
 Segment layout (all slots 8-byte, little-or-native endian — segments are
@@ -18,6 +18,7 @@ slot                  typecode    length
 ====================  ==========  =========================================
 header                ``q``       5: magic, version, directed, nodes, edges
 ``node_ids``          ``q``       nodes
+``xs``, ``ys``        ``d``       nodes each
 ``indptr``            ``q``       nodes + 1
 ``adj``               ``q``       edges
 ``sids``              ``q``       edges
@@ -44,7 +45,7 @@ from .csr import CSRGraph
 #: Sanity marker at offset 0 of every published segment.
 MAGIC = 0x4353_5247  # "CSRG"
 #: Bumped whenever the layout above changes.
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 _HEADER_SLOTS = 5
 _ITEM = 8  # bytes per slot, both 'q' and 'd'
@@ -98,7 +99,7 @@ class SharedCSR:
     @classmethod
     def publish(cls, graph: CSRGraph, name: str | None = None) -> "SharedCSR":
         """Copy a snapshot's columns into a fresh shared segment."""
-        columns = _columns(graph)
+        columns = graph.columns()
         total = _ITEM * _HEADER_SLOTS + sum(
             _ITEM * len(column) for _code, column in columns
         )
@@ -144,6 +145,7 @@ class SharedCSR:
             directed = bool(header[2])
             nodes, edges = header[3], header[4]
             node_ids = take("q", nodes)
+            xs, ys = take("d", nodes), take("d", nodes)
             forward = (
                 take("q", nodes + 1), take("q", edges),
                 take("q", edges), take("d", edges),
@@ -151,10 +153,8 @@ class SharedCSR:
             reverse = (
                 take("q", nodes + 1), take("q", edges),
                 take("q", edges), take("d", edges),
-            ) if directed else (None, None, None, None)
-            graph = CSRGraph.from_arrays(
-                directed, node_ids, *forward, *reverse
-            )
+            ) if directed else ()
+            graph = CSRGraph(directed, node_ids, xs, ys, *forward, *reverse)
         except Exception:
             for view in views:
                 view.release()
@@ -196,22 +196,3 @@ class SharedCSR:
         if self._shm is None:
             state = "closed"
         return f"SharedCSR({self.name!r}, {self.nbytes}B, {state})"
-
-
-def _columns(graph: CSRGraph) -> tuple:
-    """The snapshot's columns in segment order, with typecodes."""
-    forward = (
-        ("q", graph.node_ids),
-        ("q", graph.indptr),
-        ("q", graph.adj),
-        ("q", graph.sids),
-        ("d", graph.weights),
-    )
-    if not graph.directed:
-        return forward
-    return forward + (
-        ("q", graph.rindptr),
-        ("q", graph.radj),
-        ("q", graph.rsids),
-        ("d", graph.rweights),
-    )

@@ -26,7 +26,7 @@ def crop_network(
     A segment survives when *both* of its junctions are inside the box.
     Node and segment ids are preserved.  The result may be disconnected;
     callers who need connectivity can check with
-    :func:`~repro.roadnet.shortest_path.dijkstra_single_source`.
+    ``cropped.csr().single_source(node)``.
     """
     if max_x <= min_x or max_y <= min_y:
         raise ValueError("empty bounding box")

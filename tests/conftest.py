@@ -20,7 +20,9 @@ import pytest
 from repro.core.model import Location, Trajectory
 from repro.roadnet.builder import line_network, network_from_edges, star_network
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.shortest_path import ShortestPathEngine, dijkstra_distance
+from repro.roadnet.shortest_path import ShortestPathEngine
+
+from reference_sp import dijkstra_distance
 
 
 def pairwise_reference():

@@ -1,10 +1,10 @@
 """Equivalence suite: CSR flat-array searches vs the dict-of-lists reference.
 
-Property-style checks over randomly generated networks: CSR Dijkstra,
-bidirectional Dijkstra and the module-level dict-of-lists walkers of
-:mod:`repro.roadnet.shortest_path` must return identical distances and
-routes, and the CSR-backed engine must run exactly one search per
-distinct pair.
+Property-style checks over randomly generated networks: the CSR kernels
+(multi-target and bidirectional Dijkstra, single-source tables and A*
+routes) must return the distances and routes of the dict-of-lists
+walkers in ``reference_sp``, and the CSR-backed engine must run exactly
+one search per distinct pair.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from repro.roadnet import (
     network_from_edges,
 )
 from repro.roadnet.geometry import Point
-from repro.roadnet.shortest_path import (
+
+from reference_sp import (
     dijkstra_distance,
     dijkstra_distance_counted,
     dijkstra_single_source,
-    shortest_route,
+    shortest_route as reference_route,
 )
 
 
@@ -58,6 +59,14 @@ def sample_pairs(network: RoadNetwork, seed: int, count: int = 60):
     return [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
 
 
+def unidirectional(
+    graph: CSRGraph, source: int, target: int, cutoff: float = INFINITY
+) -> float:
+    """A point distance from the multi-target kernel (unidirectional sums)."""
+    found, _ = graph.multi_target_distances(source, [target], cutoff)
+    return found.get(target, INFINITY)
+
+
 class TestConstruction:
     def test_shape_invariants(self):
         net = random_network(1)
@@ -78,8 +87,11 @@ class TestConstruction:
         b = net.add_junction(Point(100, 0))
         net.add_segment(a, b, bidirectional=False)
         graph = net.csr(directed=True)
-        assert graph.distance_counted(a, b)[0] == pytest.approx(100.0)
-        assert graph.distance_counted(b, a)[0] == INFINITY
+        assert unidirectional(graph, a, b) == pytest.approx(100.0)
+        assert unidirectional(graph, b, a) == INFINITY
+        assert graph.shortest_route(a, b).length == pytest.approx(100.0)
+        with pytest.raises(NoPathError):
+            graph.shortest_route(b, a)
         assert graph.bidirectional_distance_counted(a, b)[0] == pytest.approx(100.0)
         assert graph.bidirectional_distance_counted(b, a)[0] == INFINITY
 
@@ -87,7 +99,9 @@ class TestConstruction:
         net = random_network(2)
         graph = net.csr()
         with pytest.raises(UnknownNodeError):
-            graph.distance_counted(0, 10_000)
+            graph.bidirectional_distance_counted(0, 10_000)
+        with pytest.raises(UnknownNodeError):
+            graph.shortest_route(10_000, 0)
 
     def test_snapshot_cached_and_invalidated(self):
         net = random_network(3)
@@ -105,7 +119,12 @@ class TestConstruction:
         clone = pickle.loads(pickle.dumps(graph))
         assert isinstance(clone, CSRGraph)
         for a, b in sample_pairs(net, 4, count=10):
-            assert clone.distance_counted(a, b) == graph.distance_counted(a, b)
+            assert clone.bidirectional_distance_counted(
+                a, b
+            ) == graph.bidirectional_distance_counted(a, b)
+            assert clone.multi_target_distances(
+                a, [b]
+            ) == graph.multi_target_distances(a, [b])
 
     def test_network_pickle_drops_snapshot_cache(self):
         net = random_network(5)
@@ -123,7 +142,7 @@ class TestDistanceEquivalence:
         graph = net.csr()
         for a, b in sample_pairs(net, seed):
             legacy = dijkstra_distance(net, a, b)
-            uni, _ = graph.distance_counted(a, b)
+            uni = unidirectional(graph, a, b)
             bidi, _ = graph.bidirectional_distance_counted(a, b)
             # Unidirectional sums the same floats in the same order.
             assert uni == legacy
@@ -158,7 +177,7 @@ class TestDistanceEquivalence:
                 bounded_dict, _ = dijkstra_distance_counted(
                     net, a, b, cutoff=cutoff
                 )
-                bounded_uni, _ = graph.distance_counted(a, b, cutoff=cutoff)
+                bounded_uni = unidirectional(graph, a, b, cutoff)
                 bounded_bidi, _ = graph.bidirectional_distance_counted(
                     a, b, cutoff=cutoff
                 )
@@ -173,19 +192,18 @@ class TestDistanceEquivalence:
 
     def test_routes_match_legacy(self, seed):
         net = random_network(seed)
-        graph = net.csr()
-        for a, b in sample_pairs(net, seed, count=30):
-            try:
-                legacy = shortest_route(net, a, b, directed=False)
-            except NoPathError:
-                with pytest.raises(NoPathError):
-                    graph.shortest_route(a, b)
-                continue
-            route = graph.shortest_route(a, b)
-            assert route.length == legacy.length
-            assert route.nodes == legacy.nodes
-            assert route.sids == legacy.sids
-            assert net.is_route(route.sids) or len(route.sids) == 0
+        for directed in (False, True):
+            graph = net.csr(directed)
+            for a, b in sample_pairs(net, seed, count=30):
+                try:
+                    legacy = reference_route(net, a, b, directed=directed)
+                except NoPathError:
+                    with pytest.raises(NoPathError):
+                        graph.shortest_route(a, b)
+                    continue
+                route = graph.shortest_route(a, b)
+                assert route == legacy
+                assert net.is_route(route.sids) or len(route.sids) == 0
 
     def test_engine_backends_agree(self, seed):
         """The CSR engine matches the dict-of-lists reference walker, and

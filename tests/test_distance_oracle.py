@@ -18,14 +18,16 @@ from repro.core.serialize import result_to_dict
 from repro.roadnet import (
     INFINITY,
     ShortestPathEngine,
-    dijkstra_distance,
-    dijkstra_multi_target,
     network_from_edges,
     plan_source_groups,
 )
-from repro.roadnet.shortest_path import dijkstra_distance_counted
 
 from conftest import pairwise_reference, trajectory_through
+from reference_sp import (
+    dijkstra_distance,
+    dijkstra_distance_counted,
+    dijkstra_multi_target,
+)
 from test_csr import random_network, sample_pairs
 
 

@@ -12,7 +12,6 @@ from repro.roadnet.generators import (
     miami_like,
     san_jose_like,
 )
-from repro.roadnet.shortest_path import dijkstra_single_source
 from repro.roadnet.stats import network_stats
 
 
@@ -49,7 +48,7 @@ class TestGenerateGridNetwork:
 
     def test_connected(self):
         net = generate_grid_network(GridConfig(rows=10, cols=10, seed=3))
-        reachable = dijkstra_single_source(net, net.node_ids()[0])
+        reachable = net.csr().single_source(net.node_ids()[0])
         assert len(reachable) == net.junction_count
 
     def test_respects_max_degree(self):
@@ -96,7 +95,7 @@ class TestPresets:
 
     def test_preset_connected(self):
         net = atlanta_like(scale=0.05)
-        reachable = dijkstra_single_source(net, net.node_ids()[0])
+        reachable = net.csr().single_source(net.node_ids()[0])
         assert len(reachable) == net.junction_count
 
     def test_preset_names(self):

@@ -47,13 +47,9 @@ class TestDetectHotspots:
         detected_nodes = set()
         for area in areas:
             detected_nodes.update(area.nodes)
-        from repro.roadnet.shortest_path import dijkstra_single_source
-
         near_truth = 0
         for anchor in truth:
-            reachable = dijkstra_single_source(
-                network, anchor, max_distance=800.0
-            )
+            reachable = network.csr().single_source(anchor, max_distance=800.0)
             if detected_nodes & set(reachable):
                 near_truth += 1
         assert near_truth >= len(truth) * 0.6

@@ -6,7 +6,8 @@ import pytest
 
 from repro.roadnet.generators import GridConfig, generate_grid_network
 from repro.roadnet.landmarks import LandmarkOracle
-from repro.roadnet.shortest_path import dijkstra_distance
+
+from reference_sp import dijkstra_distance, dijkstra_single_source
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,6 @@ class TestAltDistance:
     def test_settles_fewer_nodes_than_plain_dijkstra(self, net, oracle):
         # Plain Dijkstra settles roughly every node closer than the
         # target; goal-directed ALT should explore materially less.
-        from repro.roadnet.shortest_path import dijkstra_single_source
-
         nodes = net.node_ids()
         source, target = nodes[0], nodes[-1]
         exact = dijkstra_distance(net, source, target)

@@ -28,9 +28,9 @@ from repro.core.pipeline import NEAT
 from repro.core.refinement import flow_distance, landmark_lower_bound
 from repro.core.serialize import result_to_dict
 from repro.roadnet import INFINITY, LandmarkOracle, ShortestPathEngine
-from repro.roadnet.shortest_path import dijkstra_distance
 
 from conftest import pairwise_reference, trajectory_through
+from reference_sp import dijkstra_distance
 from test_csr import random_network
 
 #: Relative tolerance for float round-off in bound comparisons.

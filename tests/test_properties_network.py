@@ -19,7 +19,7 @@ from repro.mobisim.simulator import SimulationConfig, simulate_dataset
 from repro.roadnet.generators import GridConfig, generate_grid_network
 from repro.roadnet.geometry import Point
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.shortest_path import ShortestPathEngine, dijkstra_distance
+from repro.roadnet.shortest_path import ShortestPathEngine
 
 grid_configs = st.builds(
     GridConfig,
@@ -46,9 +46,7 @@ class TestNetworkProperties:
     @settings(max_examples=15, deadline=None)
     def test_generated_network_is_connected(self, config):
         network = generate_grid_network(config)
-        from repro.roadnet.shortest_path import dijkstra_single_source
-
-        reachable = dijkstra_single_source(network, network.node_ids()[0])
+        reachable = network.csr().single_source(network.node_ids()[0])
         assert len(reachable) == network.junction_count
 
     @given(grid_configs, st.data())
@@ -60,7 +58,7 @@ class TestNetworkProperties:
         a = data.draw(st.sampled_from(nodes))
         b = data.draw(st.sampled_from(nodes))
         euclid = network.node_point(a).distance_to(network.node_point(b))
-        net_dist = dijkstra_distance(network, a, b)
+        net_dist = network.csr().bidirectional_distance_counted(a, b)[0]
         assert euclid <= net_dist + 1e-6
 
     @given(grid_configs, st.data())

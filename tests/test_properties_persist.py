@@ -10,9 +10,9 @@ Three durability invariants, fuzzed rather than example-tested:
 * journal replay after random truncation recovers exactly the state a
   never-crashed run reaches over the surviving record prefix;
 * a state snapshot with one field perturbed and a valid checksum either
-  fails recovery with a typed error or recovers a state whose document
-  re-encodes to exactly the perturbed one — the decoder never silently
-  ignores, normalizes or drops a field.
+  fails recovery with a typed error or recovers the original state — the
+  decoder never silently ignores, normalizes or drops a field, and never
+  accepts a state that no run could have written.
 """
 
 from __future__ import annotations
@@ -206,12 +206,13 @@ _json_values = st.one_of(
 
 
 def _reseal(state_dir: Path, edit) -> dict:
-    """Apply ``edit`` to the newest snapshot's document and reseal it."""
+    """Apply ``edit`` to the newest snapshot's document, reseal it, and
+    return the document as it was before the edit."""
     generation, payload = SnapshotStore(state_dir / "snapshots").read_latest()
     document = json.loads(payload)
     edit(document)
     generation.path.write_bytes(seal_snapshot(json.dumps(document).encode("utf-8")))
-    return document
+    return json.loads(payload)
 
 
 def _recovered_document(network, state_dir: Path) -> dict:
@@ -242,12 +243,12 @@ class TestSnapshotDecoderProperties:
         with tempfile.TemporaryDirectory() as tmp:
             state_dir = Path(tmp) / "state"
             shutil.copytree(template, state_dir)
-            document = _reseal(state_dir, perturb)
+            original = _reseal(state_dir, perturb)
             try:
                 again = _recovered_document(network, state_dir)
             except PersistenceError:
                 return
-            assert again == document
+            assert again == original
 
 
 class TestSnapshotDecoderRegressions:
@@ -270,3 +271,25 @@ class TestSnapshotDecoderRegressions:
         _reseal(tmp_path / "state", edit)
         with pytest.raises(CorruptSnapshot, match="re-encode"):
             _recovered_document(network, tmp_path / "state")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda result: _fragment(result)["locations"].pop(),
+         "fewer than 2 locations"),
+        (lambda result: [row.__setitem__(0, 3) for row in _fragment(result)["locations"]],
+         "fragment on segment 3"),
+        (lambda result: _fragment(result).update(trid=99),
+         "unseen trajectory"),
+        (lambda result: result["noise_flows"].append(result["noise_flows"][0]),
+         "do not partition the base clusters"),
+    ], ids=["one-location", "sid-mismatch", "unseen-trid", "no-partition"])
+    def test_location_level_corruption(self, state_template, tmp_path, edit, message):
+        network, template = state_template
+        shutil.copytree(template, tmp_path / "state")
+        _reseal(tmp_path / "state", lambda document: edit(document["result"]))
+        with pytest.raises(CorruptSnapshot, match=message):
+            _recovered_document(network, tmp_path / "state")
+
+
+def _fragment(result: dict) -> dict:
+    """The first fragment of the state's first base cluster."""
+    return result["base_clusters"][0]["fragments"][0]

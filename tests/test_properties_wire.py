@@ -12,9 +12,18 @@ payload: nothing in between, and nothing silently dropped or invented.
 
 The frame codec gets the matching byte-level properties: a truncated
 frame raises :class:`TornFrame`, and any flipped byte is a typed error.
+
+The hello handshake is fuzzed from both ends: any JSON value sent as the
+hello gets a typed ``ok: false`` reply or completes the handshake, and
+the server goes on serving; any JSON value (or non-JSON bytes) returned
+as the reply makes the client raise a typed
+:class:`~repro.errors.TransportError` or completes the handshake.
 """
 
 from __future__ import annotations
+
+import json
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -23,18 +32,23 @@ from hypothesis import strategies as st
 from repro.core.base_cluster import BaseCluster
 from repro.core.model import Location, TFragment, Trajectory
 from repro.distributed.transport import (
+    PROTOCOL_VERSION,
     FrameError,
+    ShardNodeServer,
     TornFrame,
+    TransportClient,
     _pack_array,
     _unpack_array,
     clusters_from_packed,
     clusters_to_packed,
     decode_frame,
     encode_frame,
+    read_frame,
     trajectories_from_packed,
     trajectories_to_packed,
 )
-from repro.errors import MalformedPayload, TrajectoryError
+from repro.errors import MalformedPayload, TrajectoryError, TransportError
+from repro.roadnet.builder import line_network
 
 #: Item type of every packed column, both schemas.
 TYPECODES = {
@@ -184,3 +198,84 @@ class TestFrames:
         in_length = 4 <= offset < 8
         with pytest.raises((FrameError, TornFrame) if in_length else FrameError):
             decode_frame(bytes(frame))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+#: Hello-shaped objects, so the fuzzer reaches the version checks.
+protos = st.one_of(st.just(PROTOCOL_VERSION), json_values)
+hellos = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"op": st.sampled_from(["hello", "ping"]), "proto": protos}),
+)
+hello_replies = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"ok": json_values, "proto": protos}),
+    st.fixed_dictionaries({"ok": st.just(True), "proto": protos}),
+)
+
+
+@pytest.fixture(scope="module")
+def hello_server():
+    server = ShardNodeServer(line_network(3), node_id=0).start()
+    yield server
+    server.stop()
+
+
+class TestHelloHandshake:
+    @settings(max_examples=60, deadline=None)
+    @given(hellos)
+    def test_any_hello_is_typed_or_completes(self, hello_server, hello):
+        with socket.create_connection(
+            (hello_server.host, hello_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(encode_frame(json.dumps(hello).encode("utf-8")))
+            with sock.makefile("rb") as rfile:
+                reply = json.loads(read_frame(rfile))
+        completed = (
+            isinstance(hello, dict)
+            and hello.get("op") == "hello"
+            and hello.get("proto") == PROTOCOL_VERSION
+        )
+        if completed:
+            assert reply["ok"] is True and reply["proto"] == PROTOCOL_VERSION
+        else:
+            assert reply["ok"] is False
+            assert reply["kind"] in ("handshake", "protocol")
+        # The server goes on serving the next connection.
+        client = TransportClient(hello_server.host, hello_server.port)
+        try:
+            assert client.call("ping") == {"node_id": 0}
+        finally:
+            client.close()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(
+        hello_replies.map(lambda reply: json.dumps(reply).encode("utf-8")),
+        st.binary(max_size=8),
+    ))
+    def test_any_hello_reply_is_typed_or_completes(self, payload):
+        client = TransportClient("127.0.0.1", 1, timeout_s=5.0)
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.sendall(encode_frame(payload))
+            with ours.makefile("rb") as rfile:
+                try:
+                    client._handshake(ours, rfile)
+                except TransportError:
+                    return
+            reply = json.loads(payload)
+            assert reply["ok"] and reply["proto"] == PROTOCOL_VERSION
+            with theirs.makefile("rb") as sent:
+                assert json.loads(read_frame(sent)) == {
+                    "op": "hello", "proto": PROTOCOL_VERSION,
+                }
+        finally:
+            ours.close()
+            theirs.close()
+

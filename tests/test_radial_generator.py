@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.roadnet.generators import RadialConfig, generate_radial_network
-from repro.roadnet.shortest_path import dijkstra_single_source
 
 
 class TestRadialConfig:
@@ -25,7 +24,7 @@ class TestGenerateRadial:
 
     def test_connected(self):
         net = generate_radial_network(RadialConfig(rings=4, spokes=7, seed=2))
-        reachable = dijkstra_single_source(net, 0)
+        reachable = net.csr().single_source(0)
         assert len(reachable) == net.junction_count
 
     def test_center_degree_equals_spokes(self):

@@ -24,6 +24,8 @@ def network():
 
 def _columns_equal(a: CSRGraph, b: CSRGraph) -> None:
     assert list(a.node_ids) == list(b.node_ids)
+    assert list(a.xs) == list(b.xs)
+    assert list(a.ys) == list(b.ys)
     assert list(a.indptr) == list(b.indptr)
     assert list(a.adj) == list(b.adj)
     assert list(a.sids) == list(b.sids)
@@ -61,9 +63,12 @@ class TestPublishAttach:
                     assert attached.graph.bidirectional_distance_counted(
                         a, b
                     ) == graph.bidirectional_distance_counted(a, b)
-                    assert attached.graph.distance_counted(
+                    assert attached.graph.multi_target_distances(
+                        a, [b]
+                    ) == graph.multi_target_distances(a, [b])
+                    assert attached.graph.shortest_route(
                         a, b
-                    ) == graph.distance_counted(a, b)
+                    ) == graph.shortest_route(a, b)
                 assert attached.graph.single_source(ids[0]) == (
                     graph.single_source(ids[0])
                 )
@@ -90,8 +95,11 @@ class TestPublishAttach:
         # private copies.
         _columns_equal(graph, clone)
         ids = list(graph.node_ids)
-        assert clone.distance_counted(ids[0], ids[-1]) == (
-            graph.distance_counted(ids[0], ids[-1])
+        assert clone.bidirectional_distance_counted(ids[0], ids[-1]) == (
+            graph.bidirectional_distance_counted(ids[0], ids[-1])
+        )
+        assert clone.shortest_route(ids[0], ids[-1]) == (
+            graph.shortest_route(ids[0], ids[-1])
         )
 
     def test_header_sanity(self, network):
@@ -156,9 +164,11 @@ class TestFromArrays:
     def test_directed_requires_reverse_columns(self, network):
         graph = network.csr(True)
         with pytest.raises(ValueError):
-            CSRGraph.from_arrays(
+            CSRGraph(
                 True,
                 graph.node_ids,
+                graph.xs,
+                graph.ys,
                 graph.indptr,
                 graph.adj,
                 graph.sids,
@@ -167,9 +177,11 @@ class TestFromArrays:
 
     def test_undirected_aliases_forward(self, network):
         graph = network.csr(False)
-        rebuilt = CSRGraph.from_arrays(
+        rebuilt = CSRGraph(
             False,
             graph.node_ids,
+            graph.xs,
+            graph.ys,
             graph.indptr,
             graph.adj,
             graph.sids,

@@ -1,4 +1,10 @@
-"""Unit tests for Dijkstra/A* routing and the caching engine."""
+"""Unit tests for the CSR searches, A* routing and the caching engine.
+
+Point distances run the bidirectional CSR Dijkstra, distance tables the
+single-source kernel and routes :func:`shortest_route` (CSR A*), the
+kernels production uses; ``reference_sp`` holds the dict-of-lists
+walkers they are checked against in ``test_csr``.
+"""
 
 from __future__ import annotations
 
@@ -14,11 +20,29 @@ from repro.roadnet.shortest_path import (
     INFINITY,
     Route,
     ShortestPathEngine,
-    dijkstra_distance,
-    dijkstra_distance_counted,
-    dijkstra_single_source,
     shortest_route,
 )
+
+
+def distance_counted(
+    network: RoadNetwork,
+    source: int,
+    target: int,
+    directed: bool = False,
+    cutoff: float = INFINITY,
+) -> tuple[float, int]:
+    """``(distance, settled)`` from the bidirectional CSR search."""
+    return network.csr(directed).bidirectional_distance_counted(
+        source, target, cutoff
+    )
+
+
+def network_distance(network: RoadNetwork, source: int, target: int, **kwargs) -> float:
+    return distance_counted(network, source, target, **kwargs)[0]
+
+
+def single_source(network: RoadNetwork, source: int, **kwargs) -> dict[int, float]:
+    return network.csr().single_source(source, **kwargs)
 
 
 @pytest.fixture
@@ -47,19 +71,19 @@ class TestRoute:
 
 class TestDijkstraDistance:
     def test_direct_edge(self, square):
-        assert dijkstra_distance(square, 0, 1) == pytest.approx(100.0)
+        assert network_distance(square, 0, 1) == pytest.approx(100.0)
 
     def test_diagonal_beats_perimeter(self, square):
-        assert dijkstra_distance(square, 0, 2) == pytest.approx(math.hypot(100, 100))
+        assert network_distance(square, 0, 2) == pytest.approx(math.hypot(100, 100))
 
     def test_same_node_is_zero(self, square):
-        assert dijkstra_distance(square, 3, 3) == 0.0
+        assert network_distance(square, 3, 3) == 0.0
 
     def test_symmetry_undirected(self, square):
         for a in range(4):
             for b in range(4):
-                assert dijkstra_distance(square, a, b) == pytest.approx(
-                    dijkstra_distance(square, b, a)
+                assert network_distance(square, a, b) == pytest.approx(
+                    network_distance(square, b, a)
                 )
 
     def test_unreachable_is_infinite(self):
@@ -68,40 +92,40 @@ class TestDijkstraDistance:
         net.add_junction(Point(10, 0))
         net.add_junction(Point(100, 100))
         net.add_segment(0, 1)
-        assert dijkstra_distance(net, 0, 2) == INFINITY
+        assert network_distance(net, 0, 2) == INFINITY
 
     def test_unknown_node_raises(self, square):
         with pytest.raises(UnknownNodeError):
-            dijkstra_distance(square, 0, 42)
+            network_distance(square, 0, 42)
 
     def test_respects_one_way(self):
         net = RoadNetwork()
         a = net.add_junction(Point(0, 0))
         b = net.add_junction(Point(100, 0))
         net.add_segment(a, b, bidirectional=False)
-        assert dijkstra_distance(net, a, b, directed=True) == pytest.approx(100.0)
-        assert dijkstra_distance(net, b, a, directed=True) == INFINITY
+        assert network_distance(net, a, b, directed=True) == pytest.approx(100.0)
+        assert network_distance(net, b, a, directed=True) == INFINITY
         # Undirected view ignores the restriction.
-        assert dijkstra_distance(net, b, a, directed=False) == pytest.approx(100.0)
+        assert network_distance(net, b, a, directed=False) == pytest.approx(100.0)
 
 
 class TestSingleSource:
     def test_all_distances(self, square):
-        dist = dijkstra_single_source(square, 0)
+        dist = single_source(square, 0)
         assert dist[0] == 0.0
         assert dist[1] == pytest.approx(100.0)
         assert dist[2] == pytest.approx(math.hypot(100, 100))
 
     def test_max_distance_prunes(self, square):
-        dist = dijkstra_single_source(square, 0, max_distance=100.0)
+        dist = single_source(square, 0, max_distance=100.0)
         assert set(dist) == {0, 1, 3}
 
     def test_bounded_agrees_with_unbounded_inside_bound(self, square):
         # Regression: the heap-push prune must not change any distance
         # that survives the bound — only drop nodes beyond it.
-        full = dijkstra_single_source(square, 0)
+        full = single_source(square, 0)
         for bound in (0.0, 100.0, 150.0, 250.0, 1e9):
-            bounded = dijkstra_single_source(square, 0, max_distance=bound)
+            bounded = single_source(square, 0, max_distance=bound)
             assert bounded == {
                 node: d for node, d in full.items() if d <= bound
             }
@@ -109,18 +133,18 @@ class TestSingleSource:
 
 class TestCutoff:
     def test_counted_cutoff_exact_inside(self, square):
-        exact = dijkstra_distance(square, 1, 3)
-        d, _ = dijkstra_distance_counted(square, 1, 3, cutoff=exact)
+        exact = network_distance(square, 1, 3)
+        d, _ = distance_counted(square, 1, 3, cutoff=exact)
         assert d == exact
 
     def test_counted_cutoff_infinite_beyond(self, square):
-        exact = dijkstra_distance(square, 1, 3)
-        d, _ = dijkstra_distance_counted(square, 1, 3, cutoff=exact - 1.0)
+        exact = network_distance(square, 1, 3)
+        d, _ = distance_counted(square, 1, 3, cutoff=exact - 1.0)
         assert d == INFINITY
 
     def test_cutoff_reduces_expansions(self, square):
-        _, full = dijkstra_distance_counted(square, 0, 2)
-        _, pruned = dijkstra_distance_counted(square, 0, 2, cutoff=50.0)
+        _, full = distance_counted(square, 0, 2)
+        _, pruned = distance_counted(square, 0, 2, cutoff=50.0)
         assert pruned <= full
 
 
@@ -155,7 +179,7 @@ class TestShortestRoute:
             for b in range(4):
                 route = shortest_route(square, a, b, directed=False)
                 assert route.length == pytest.approx(
-                    dijkstra_distance(square, a, b)
+                    network_distance(square, a, b)
                 )
 
 
@@ -204,7 +228,7 @@ class TestEngineCutoff:
 
     def test_finite_result_within_cutoff_is_exact_and_cached(self, square):
         engine = ShortestPathEngine(square)
-        exact = dijkstra_distance(square, 1, 3)
+        exact = network_distance(square, 1, 3)
         assert engine.distance(1, 3, cutoff=exact + 1.0) == exact
         assert engine.computations == 1
         # The finite bounded answer is exact, so unbounded hits cache.
@@ -214,7 +238,7 @@ class TestEngineCutoff:
 
     def test_bounded_infinity_not_poisoning_unbounded(self, square):
         engine = ShortestPathEngine(square)
-        exact = dijkstra_distance(square, 1, 3)
+        exact = network_distance(square, 1, 3)
         assert engine.distance(1, 3, cutoff=exact / 2) == INFINITY
         assert engine.computations == 1
         # An unbounded query must recompute and find the real distance.
@@ -228,7 +252,7 @@ class TestEngineCutoff:
 
     def test_bounded_cache_reused_for_smaller_cutoffs(self, square):
         engine = ShortestPathEngine(square)
-        exact = dijkstra_distance(square, 1, 3)
+        exact = network_distance(square, 1, 3)
         assert engine.distance(1, 3, cutoff=exact / 2) == INFINITY
         # A tighter bound is answered by the recorded proven bound.
         assert engine.distance(1, 3, cutoff=exact / 4) == INFINITY

@@ -12,6 +12,8 @@ remote-node coordinator run against the serial pipeline.
 from __future__ import annotations
 
 import io
+import json
+import socket
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.distributed import (
 from repro.distributed.transport import (
     FRAME_HEADER,
     FRAME_MAGIC,
+    PROTOCOL_VERSION,
     FrameError,
     TornFrame,
     clusters_from_packed,
@@ -164,6 +167,25 @@ class TestShardRPC:
         with pytest.raises(HandshakeFailed):
             client.call("ping")
         # The server survives a rejected hello and keeps serving.
+        assert TransportClient(shard.host, shard.port).call("ping") == {"node_id": 0}
+
+    @pytest.mark.parametrize("greet", [False, True])
+    def test_non_object_message_is_typed_and_counted(self, shard, greet):
+        """A list where a hello or request object belongs gets a typed
+        reply, counts as a bad frame and ends only that connection."""
+        with socket.create_connection((shard.host, shard.port), timeout=5.0) as sock:
+            with sock.makefile("rb") as rfile:
+                if greet:
+                    sock.sendall(encode_frame(b'{"op": "hello", "proto": %d}'
+                                              % PROTOCOL_VERSION))
+                    assert json.loads(read_frame(rfile))["ok"] is True
+                sock.sendall(encode_frame(b'["hello"]'))
+                reply = json.loads(read_frame(rfile))
+                assert read_frame(rfile) is None  # closed
+        assert reply == {
+            "ok": False, "kind": "protocol", "error": "message is not a JSON object",
+        }
+        assert shard.bad_frames == 1
         assert TransportClient(shard.host, shard.port).call("ping") == {"node_id": 0}
 
     def test_shutdown_rpc_stops_server(self, line3):
