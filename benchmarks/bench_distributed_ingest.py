@@ -9,8 +9,8 @@ and shard-side Phase 3.  For every shard count the run must produce a
 result document *byte-identical* to the serial one (the distributed
 tier's core invariant); the artifact records the SHA-256 digest match
 alongside wall times, the per-shard trajectory split, the per-rung wire
-profile (``rpc_count`` / ``bytes_sent`` / ``batched_calls`` /
-``reconnects`` — the *why* behind a scaling change, not just the what)
+profile (``rpc_count`` / ``bytes_sent`` / ``reconnects`` /
+``handshakes`` — the *why* behind a scaling change, not just the what)
 and the deterministic result counters (flows, clusters, boundary
 segments) that ``check_perf_regression.py`` gates against the committed
 baseline.
@@ -166,16 +166,13 @@ def run_ingest_scaling(
                     wire = {
                         "rpc_count": int(metrics.value("transport.requests")),
                         "bytes_sent": int(metrics.value("transport.bytes_sent")),
-                        "batched_calls": int(
-                            metrics.value("transport.batched_calls")
-                        ),
                         "reconnects": int(metrics.value("transport.reconnects")),
                         "handshakes": int(metrics.value("transport.handshakes")),
                     }
                     for node in nodes:
-                        # Cold next round: drop each shard's warm
-                        # distance engine (outside the timed window),
-                        # then the pooled connections.
+                        # Cold next round: reset each shard's
+                        # connections (outside the timed window), then
+                        # close the pooled ones.
                         try:
                             node.client.call("reset")
                         except Exception:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .core.config import NEATConfig
@@ -233,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(handshake once per connection; 0 = one "
                             "connection per call, the pre-pool behavior)")
     serve.add_argument("--remote-phase3", action="store_true",
-                       help="fan Phase 3 distance work out to the shard "
-                            "nodes (byte-identical clusters; the "
-                            "coordinator only merges and re-sorts)")
+                       help="run Phase 3's planned grouped searches on "
+                            "the shard nodes (byte-identical clusters and "
+                            "search counts)")
     serve.add_argument("--shard-startup-timeout", type=float, default=30.0,
                        help="seconds to wait for every spawned shard to "
                             "write its port file before failing the "

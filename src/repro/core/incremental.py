@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..errors import CorruptSnapshot, PersistenceError, RecoveryError, ReproError
+from ..errors import (
+    CorruptSnapshot,
+    PersistenceError,
+    RecoveryError,
+    ReproError,
+    TrajectoryError,
+)
 from ..obs import Telemetry, get_logger
 from ..persist.checkpoint import (
     CheckpointManager,
@@ -38,7 +44,7 @@ from .base_cluster import form_base_clusters
 from .config import NEATConfig
 from .flow_cluster import FlowCluster
 from .flow_formation import form_flow_clusters
-from .model import Trajectory
+from .model import TFragment, Trajectory
 from .refinement import RefinementStats, TrajectoryCluster, refine_flow_clusters
 from .result import NEATResult
 from .serialize import (
@@ -48,7 +54,7 @@ from .serialize import (
     _flow_to_dict,
     result_from_dict,
 )
-from .validate import validate_result
+from .validate import junction_problem, validate_result, validate_trajectories
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience import FaultInjector
@@ -164,6 +170,12 @@ class IncrementalNEAT:
                 seen so far.  Without it, a duplicate id raises
                 ``ValueError`` — cross-batch netflow would silently merge
                 unrelated objects otherwise.
+
+        Raises:
+            TrajectoryError: A trajectory fails admission
+                (:func:`~repro.core.validate.validate_trajectories`), e.g.
+                a location marked as a junction it does not sit on:
+                recovery refuses such a state, so the batch rolls back.
         """
         batch = list(trajectories)
         if auto_offset_ids:
@@ -196,6 +208,10 @@ class IncrementalNEAT:
         metrics = telemetry.metrics if telemetry.enabled else None
         try:
             with telemetry.tracer.span("incremental.add_batch") as batch_span:
+                bad = validate_trajectories(self.network, batch).bad_trids
+                if bad:
+                    trid, problem = next(iter(bad.items()))
+                    raise TrajectoryError(f"trajectory {trid} {problem}")
                 if batch:
                     base = form_base_clusters(
                         self.network, batch,
@@ -666,7 +682,7 @@ class IncrementalNEAT:
         # noise flows and fragments behind it must be ones a run makes.
         errors = validate_result(
             self.snapshot_result(), self.network, allow_shared_segments=True
-        ).errors + _state_errors(result, self._seen_trids)
+        ).errors + _state_errors(result, self._seen_trids, self.network)
         if errors:
             raise CorruptSnapshot(source, errors[0])
         # Accept only documents this class writes: kept in the document's
@@ -679,14 +695,19 @@ class IncrementalNEAT:
             raise CorruptSnapshot(source, "state document does not re-encode to itself")
 
 
-def _state_errors(result: NEATResult, seen_trids: set[int]) -> list[str]:
+def _state_errors(
+    result: NEATResult, seen_trids: set[int], network: RoadNetwork
+) -> list[str]:
     """What no state this class writes can hold, beyond the served view.
 
     Every fragment spans two locations at least and comes from a seen
-    trajectory, and the kept and noise flows partition the base clusters
-    themselves, not just their segments (each batch keeps its own).
+    trajectory, every junction location sits on its junction, each
+    trajectory's fragments chain (see :func:`_chain_problem`), and the
+    kept and noise flows partition the base clusters themselves, not
+    just their segments (each batch keeps its own).
     """
     errors = []
+    by_trid: dict[int, list[TFragment]] = {}
     for cluster in result.base_clusters:
         for fragment in cluster.fragments:
             where = f"fragment of trajectory {fragment.trid} on segment {cluster.sid}"
@@ -694,6 +715,15 @@ def _state_errors(result: NEATResult, seen_trids: set[int]) -> list[str]:
                 errors.append(f"{where} has fewer than 2 locations")
             if fragment.trid not in seen_trids:
                 errors.append(f"{where} is from an unseen trajectory")
+            for location in fragment.locations:
+                problem = junction_problem(network, location)
+                if problem is not None:
+                    errors.append(f"{where}: {problem}")
+            by_trid.setdefault(fragment.trid, []).append(fragment)
+    for trid, fragments in by_trid.items():
+        problem = _chain_problem(fragments)
+        if problem is not None:
+            errors.append(f"fragments of trajectory {trid} {problem}")
     members = [
         id(member)
         for flow in (*result.flows, *result.noise_flows)
@@ -702,3 +732,39 @@ def _state_errors(result: NEATResult, seen_trids: set[int]) -> list[str]:
     if sorted(members) != sorted(map(id, result.base_clusters)):
         errors.append("kept and noise flows do not partition the base clusters")
     return errors
+
+
+def _chain_problem(fragments: list[TFragment]) -> str | None:
+    """Why one trajectory's fragments do not chain, or None.
+
+    Fragmentation splits a trajectory only at junction crossings, so in
+    travel order each fragment begins at the junction, and the time,
+    where the one before it ends.  Read each fragment as an edge from
+    its first ``(node_id, t)`` to its last: such an order exists exactly
+    when these edges form one Eulerian trail (connected, and in and out
+    degrees balance except at the trail's two ends).  The test needs no
+    order to start from, so equal timestamps, and a junction crossed
+    twice at one time, chain whatever order the state lists them in.  A
+    raw sample (no ``node_id``) is a vertex of its own, so it can only
+    open or close the trail.
+    """
+    parent: dict[object, object] = {}
+
+    def root(vertex: object) -> object:
+        while parent.setdefault(vertex, vertex) != vertex:
+            vertex = parent[vertex]
+        return vertex
+
+    balance: dict[object, int] = {}
+    for fragment in fragments:
+        head, tail = (
+            object() if location.node_id is None else (location.node_id, location.t)
+            for location in (fragment.locations[0], fragment.locations[-1])
+        )
+        balance[head] = balance.get(head, 0) + 1
+        balance[tail] = balance.get(tail, 0) - 1
+        parent[root(head)] = root(tail)
+    unbalanced = sorted(value for value in balance.values() if value)
+    if unbalanced not in ([], [-1, 1]) or len({root(v) for v in balance}) > 1:
+        return "do not meet at one junction with the same t"
+    return None

@@ -20,11 +20,12 @@ Dijkstra searches actually ran, which is exactly what Figure 7 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from ..cluster.dbscan import clusters_from_labels, dbscan
 from ..roadnet.network import RoadNetwork
-from ..roadnet.shortest_path import ShortestPathEngine
+from ..roadnet.shortest_path import ShortestPathEngine, plan_source_groups
 from .config import NEATConfig
 from .flow_cluster import FlowCluster
 
@@ -167,59 +168,68 @@ def landmark_lower_bound(
     return max(forward, backward)
 
 
-def prune_masks(
+def plan_phase3(
     network: RoadNetwork,
-    flow_list: Sequence[FlowCluster],
+    flows: Sequence[FlowCluster],
     config: NEATConfig,
     engine: ShortestPathEngine,
-) -> tuple[bytearray | None, bytearray | None]:
-    """Phase 3's ELB and LLB prune masks (``None`` where a tier is off).
+) -> tuple[bytearray | None, bytearray | None, list[tuple[int, tuple[int, ...]]]]:
+    """Phase 3's one plan: ``(elb_mask, llb_mask, groups)``.
 
-    The one place Phase 3's prune decisions are made: region queries,
-    the prefetch enumeration and the coordinator's remote prefetch all
-    index these masks, so the pairs they search cannot drift apart.
-    ``mask[i * n + j] == 1`` means pair ``(i, j)`` is provably farther
-    than ``eps`` (see :func:`repro.core.bounds.elb_far_mask` and
-    :func:`~repro.core.bounds.llb_far_mask`; numpy-accelerated when
-    available, with identical decisions either way).  Landmark tables
-    are engine-memoized per network version; the sweeps run outside the
-    Figure-7 counters (bounds are free at query time, like the
-    Euclidean bound).
+    The one place Phase 3's prune decisions are made and its searches
+    chosen, once per refinement, on the caller: region queries index the
+    masks, and every executor (inline, pool or shards) runs whole groups
+    of the plan, so the pairs they search cannot drift apart.
+
+    ``mask[i * n + j] == 1`` means flow pair ``(i, j)`` is provably
+    farther than ``eps`` (``None`` where a tier is off; see
+    :func:`repro.core.bounds.elb_far_mask` and
+    :func:`~repro.core.bounds.llb_far_mask`, numpy-accelerated when
+    available with identical decisions).  Landmark tables are
+    engine-memoized per network version and, like the Euclidean bound,
+    run outside the Figure-7 counters.  ``groups`` are the ``(source,
+    targets)`` searches of
+    :func:`~repro.roadnet.shortest_path.plan_source_groups` over the
+    surviving endpoint pairs the engine cannot answer yet; an engine
+    with an accelerated oracle answers point queries itself, so its plan
+    has none.
     """
     from ..vec import resolve_vector_backend
     from .bounds import elb_far_mask, llb_far_mask
 
     backend = resolve_vector_backend(config.vector_backend)
     elb_mask = (
-        elb_far_mask(network, flow_list, config.eps, backend)
+        elb_far_mask(network, flows, config.eps, backend)
         if config.use_elb
         else None
     )
     llb_mask = None
     if config.use_llb and not engine.directed:
         llb = engine.landmark_bounds(config.llb_landmarks)
-        llb_mask = llb_far_mask(llb, flow_list, config.eps, backend)
-    return elb_mask, llb_mask
+        llb_mask = llb_far_mask(llb, flows, config.eps, backend)
+    groups = [] if engine.oracle is not None else plan_source_groups(
+        engine.unknown_pairs(
+            _surviving_endpoint_pairs(flows, elb_mask, llb_mask),
+            cutoff=config.eps,
+        )
+    )
+    return elb_mask, llb_mask, groups
 
 
 def _surviving_endpoint_pairs(
     flow_list: Sequence[FlowCluster],
     elb_mask: bytearray | None,
     llb_mask: bytearray | None,
-) -> list[tuple[int, int]]:
+) -> Iterator[tuple[int, int]]:
     """Endpoint node pairs the region queries will ask the engine for.
 
-    Enumerates unordered flow pairs that survive the :func:`prune_masks`
-    tiers (exactly the pairs whose modified Hausdorff distance Phase 3
-    must evaluate) and expands each into its endpoint-junction pairs, in
-    deterministic order.  Pairs are deduplicated after symmetric
-    normalization and ``(n, n)`` identities are dropped, so the payload
-    shipped to worker processes (and the grouped planner's input)
-    carries each distinct query once.
+    Walks unordered flow pairs that survive the prune tiers (exactly the
+    pairs whose modified Hausdorff distance Phase 3 must evaluate) and
+    expands each into its endpoint-junction pairs, in deterministic
+    order.  :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.unknown_pairs`
+    drops identities and repeats.
     """
     n = len(flow_list)
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for i in range(n):
         a1, a2 = flow_list[i].endpoints
         row = i * n
@@ -229,19 +239,10 @@ def _surviving_endpoint_pairs(
             if llb_mask is not None and llb_mask[row + j]:
                 continue
             b1, b2 = flow_list[j].endpoints
-            for source, target in (
-                (a1, b1), (a1, b2), (a2, b1), (a2, b2)
-            ):
-                if source == target:
-                    continue
-                key = (
-                    (source, target) if source <= target else (target, source)
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                pairs.append(key)
-    return pairs
+            yield a1, b1
+            yield a1, b2
+            yield a2, b1
+            yield a2, b2
 
 
 def refine_flow_clusters(
@@ -252,6 +253,7 @@ def refine_flow_clusters(
     stats: RefinementStats | None = None,
     metrics=None,
     workers: int | None = None,
+    executor: Callable | None = None,
 ) -> list[TrajectoryCluster]:
     """Run Phase 3: merge eps-close flows into final trajectory clusters.
 
@@ -259,12 +261,11 @@ def refine_flow_clusters(
     the lower-bound tiers (Euclidean, optionally landmark) already prove
     a pruned pair is far apart, and for the survivors a bounded search
     answering "farther than eps" settles only the eps-ball instead of
-    the whole graph.  Unless the engine carries an accelerated oracle,
-    the surviving endpoint pairs are answered up front by batched
-    multi-target single-source kernels — one search per distinct
-    endpoint instead of one per pair — optionally fanned out across
-    worker processes; cluster output and every determinism counter are
-    identical at any worker count.
+    the whole graph.  :func:`plan_phase3` plans the searches once; the
+    surviving endpoint pairs are then answered up front by its grouped
+    multi-target kernels, inline, in worker processes or on shard nodes
+    — cluster output and every determinism counter are identical
+    whichever executor ran them.
 
     Args:
         network: The road network.
@@ -278,6 +279,10 @@ def refine_flow_clusters(
             the collected stats when refinement finishes.
         workers: Worker processes for the distance batches (``None``
             falls back to ``config.workers``; ``<=1`` serial).
+        executor: Optional ``executor(groups, limit)`` that runs the
+            plan's grouped searches elsewhere (the coordinator's shard
+            executor); see
+            :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.prefetch_grouped`.
 
     Returns:
         Final clusters ordered by discovery (the first cluster is seeded by
@@ -301,23 +306,13 @@ def refine_flow_clusters(
     eps = config.eps
     sp_before = engine.computations
 
-    # Batch the lower-bound tiers once, up front: region queries and the
-    # prefetch enumeration below index the masks instead of recomputing
-    # per-pair bounds, so the counters they drive cannot drift.
-    elb_mask, llb_mask = prune_masks(network, flow_list, config, engine)
-
-    if engine.oracle is None:
-        # Tiered oracle: answer every distance the region queries below
-        # will need with batched multi-target single-source kernels —
-        # O(distinct endpoints) searches instead of one per surviving
-        # pair.  Runs at any worker count (the grouping is
-        # deterministic), so serial and parallel runs execute the same
-        # searches and report identical counters.
-        engine.prefetch_grouped(
-            _surviving_endpoint_pairs(flow_list, elb_mask, llb_mask),
-            cutoff=eps,
-            workers=workers,
-        )
+    # Plan once, up front: region queries index the plan's masks, and the
+    # grouped searches answer every distance they will need.
+    elb_mask, llb_mask, groups = plan_phase3(network, flow_list, config, engine)
+    engine.prefetch_grouped(
+        groups, cutoff=eps,
+        executor=executor or partial(engine.search_groups, workers=workers),
+    )
 
     def region_query(index: int) -> list[int]:
         found = []

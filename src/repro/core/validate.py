@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..roadnet.network import RoadNetwork
-from .model import Trajectory
+from .model import Location, Trajectory
 from .result import NEATResult
 
 
@@ -100,7 +100,9 @@ def validate_trajectories(
     Checked per trajectory (reported in ``bad_trids`` so callers can
     quarantine individuals): every location references a segment of
     ``network``, coordinates and timestamps are finite (NaN/inf would
-    poison every distance downstream), and timestamps are non-decreasing
+    poison every distance downstream), a location marked as a junction
+    sits on it (:func:`junction_problem`, which snapshot recovery checks
+    too), and timestamps are non-decreasing
     — checked NaN-safely, since the :class:`~repro.core.model.Trajectory`
     constructor's ``later < earlier`` comparison is silently ``False``
     for NaN.  Checked per batch (reported in ``batch_errors``):
@@ -133,6 +135,9 @@ def _trajectory_problem(
             return f"has non-finite coordinates ({location.x}, {location.y})"
         if not math.isfinite(location.t):
             return f"has non-finite timestamp {location.t}"
+        problem = junction_problem(network, location)
+        if problem is not None:
+            return problem
         # ``not >=`` instead of ``<`` so a NaN that sneaked into an
         # earlier sample cannot make the comparison silently pass.
         if previous_t is not None and not (location.t >= previous_t):
@@ -141,6 +146,28 @@ def _trajectory_problem(
                 f"({location.t} after {previous_t})"
             )
         previous_t = location.t
+    return None
+
+
+def junction_problem(network: RoadNetwork, location: Location) -> str | None:
+    """Why a location marked as a junction is not on it, or None.
+
+    A location with ``node_id`` set (an inserted junction point) must sit
+    exactly at ``network.node_point(node_id)``, and the junction must be
+    an endpoint of the location's segment.
+    """
+    node = location.node_id
+    if node is None:
+        return None
+    if not network.has_node(node):
+        return f"marks unknown junction {node}"
+    point = network.node_point(node)
+    if (location.x, location.y) != (point.x, point.y):
+        return f"marks junction {node} but sits at ({location.x}, {location.y})"
+    if network.has_segment(location.sid) and (
+        node not in network.segment(location.sid).endpoints
+    ):
+        return f"marks junction {node}, not an endpoint of segment {location.sid}"
     return None
 
 

@@ -24,7 +24,7 @@ See ``docs/robustness.md``.
 
 from .nodes import NeatCoordinator, merge_base_clusters, shard_round_robin
 from .service import NeatService, ServiceStats
-from .shardmap import HashRing, RegionShardMap, boundary_sids, partition_slices
+from .shardmap import HashRing, RegionShardMap, boundary_sids
 from .transport import (
     ConnectionPool,
     InProcessClient,
@@ -52,7 +52,6 @@ __all__ = [
     "TransportClient",
     "boundary_sids",
     "merge_base_clusters",
-    "partition_slices",
     "shard_round_robin",
     "spawn_local_shards",
     "stop_shards",

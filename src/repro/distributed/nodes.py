@@ -37,16 +37,17 @@ from ..core.refinement import RefinementStats, refine_flow_clusters
 from ..core.result import NEATResult, PhaseTimings
 from ..errors import NodeDown, QuorumLost, RetriesExhausted
 from ..obs import Telemetry, get_logger
+from ..parallel import split_spans
 from ..resilience import FaultInjector, RetryPolicy
 from ..roadnet.network import RoadNetwork
 from ..roadnet.shortest_path import ShortestPathEngine
-from .shardmap import RegionShardMap, boundary_sids, partition_slices
+from .shardmap import RegionShardMap, boundary_sids
 from .transport import InProcessClient, RemoteDataNode, ShardNode
 
 _log = get_logger("distributed.nodes")
 
-#: A Phase 3 slice gets one blocking retry after its pipelined call.
-_SLICE_RETRY = RetryPolicy(max_retries=1, base_delay_s=0.0, jitter=0.0)
+#: A Phase 3 span gets one blocking retry after its pipelined call.
+_SPAN_RETRY = RetryPolicy(max_retries=1, base_delay_s=0.0, jitter=0.0)
 
 
 def _start(starter: Callable[[], object]) -> object:
@@ -147,17 +148,17 @@ class NeatCoordinator:
             re-dispatch follows ring preference order.  Results are
             byte-identical either way — Phase 1 merges exactly under any
             partition.
-        remote_phase3: Fan the Phase 3 distance work out to the nodes.
-            The coordinator enumerates exactly the endpoint pairs its
-            local refinement would search (the lower-bound survivors),
-            partitions them contiguously across healthy remote nodes,
-            pipelines ``distances`` calls and absorbs the answers into
-            its own engine — refinement then runs without a single
-            local shortest-path search, and the clusters stay
-            byte-identical because eps-bounded distances are exact
-            values, not approximations.  A node that fails its slice is
-            simply not absorbed (refinement computes those pairs
-            locally), so faults degrade throughput, never correctness.
+        remote_phase3: Run Phase 3's grouped searches on the nodes.
+            Refinement plans its searches once
+            (:func:`~repro.core.refinement.plan_phase3`); the
+            coordinator's shard executor cuts the planned groups into
+            one contiguous span per healthy node, pipelines one
+            ``distances`` call per span, and hands every group's answer
+            to the engine's one store path — so clusters, search counts
+            and engine counters equal a serial run's at any node count
+            (eps-bounded distances are exact values, not
+            approximations).  A span whose node fails runs inline, so
+            faults degrade throughput, never correctness.
     """
 
     def __init__(
@@ -317,16 +318,11 @@ class NeatCoordinator:
             return result
 
         stats = RefinementStats()
-        if self.remote_phase3 and result.flows:
-            # Seed the stats with the shard-side search count so the
-            # Figure-7 accounting still reports the work done, wherever
-            # it ran (refinement's own delta only sees local searches).
-            stats.shortest_path_computations += self._phase3_remote_prefetch(
-                result.flows
-            )
         result.clusters = refine_flow_clusters(
             self.network, result.flows, self.config,
             engine=self.engine, stats=stats,
+            metrics=self.telemetry.metrics if self.telemetry.enabled else None,
+            executor=self._remote_search if self.remote_phase3 else None,
         )
         result.refinement_stats = stats
         return result
@@ -396,95 +392,54 @@ class NeatCoordinator:
             on_retry=on_retry,
         )
 
-    def _phase3_remote_prefetch(self, flows: Sequence) -> int:
-        """Ship Phase 3's distance work to the shards; absorb the answers.
+    def _remote_search(
+        self, groups: Sequence[tuple[int, tuple[int, ...]]], limit: float
+    ) -> list[tuple[dict[int, float], int]]:
+        """Phase 3's shard executor: whole planned groups on the nodes.
 
-        Enumerates the same lower-bound-surviving endpoint pairs local
-        refinement would search (same enumerator, same order), cuts them
-        into contiguous :func:`~repro.distributed.shardmap.partition_slices`
-        across healthy nodes, pipelines one wire call
-        per node (chunked through ``batch`` frames for large slices) and
-        merges the answers into the coordinator engine's memo tables.
-        ``refine_flow_clusters`` then finds every pair pre-answered and
-        runs zero local searches.
-
-        A slice whose pipelined call fails is retried once on the same
-        node; if that fails too the slice is *dropped* — not absorbed —
-        and refinement computes those pairs locally
-        (``coordinator.phase3_local_fallbacks``).  Either way the
-        clusters are byte-identical: bounded distances are exact values,
-        and an unanswered pair is answered by the same search serial NEAT
-        would run.
-
-        Returns the shard-side search count, to be folded into the
-        refinement stats.
+        One contiguous span of ``groups`` per healthy node
+        (:func:`~repro.parallel.split_spans`, as the pool cuts them), one
+        pipelined ``distances`` call per span; returns every group's
+        ``(found, expanded)`` in plan order for the engine to file.  A
+        span whose call fails twice runs inline on the coordinator
+        (``coordinator.phase3_local_fallbacks``): the same searches, so
+        clusters and counters do not change.
         """
-        from ..core.refinement import _surviving_endpoint_pairs, prune_masks
-
         capable = [node for node in self.nodes if node.healthy]
-        if not capable:
-            return 0
-        eps = self.config.eps
-        flow_list = list(flows)
-        pairs = _surviving_endpoint_pairs(
-            flow_list,
-            *prune_masks(self.network, flow_list, self.config, self.engine),
-        )
-        # Skip pairs the engine already knows (exact hit, or proven
-        # farther than eps): a warm coordinator re-run ships only the
-        # genuinely new work.
-        todo = self.engine.unknown_pairs(pairs, cutoff=eps)
-        if not todo:
-            return 0
-
-        slices = partition_slices(len(todo), [n.node_id for n in capable])
         calls = []
-        for node, (_, start, stop) in zip(capable, slices):
-            if start < stop:
-                chunk = todo[start:stop]
-                starter = functools.partial(node.start_distances, chunk, cutoff=eps)
-                calls.append((node, chunk, starter, _start(starter)))
-
-        exact: dict[tuple[int, int], float] = {}
-        bounded: dict[tuple[int, int], float] = {}
-        computations = 0
-        absorbed = 0
-        for node, chunk, starter, call in calls:
+        for node, (first, count) in zip(
+            capable, split_spans(len(groups), len(capable))
+        ):
+            span = groups[first:first + count]
+            starter = functools.partial(node.start_distances, span, limit)
+            calls.append((node, span, starter, _start(starter)))
+        if not calls:
+            return self.engine.search_groups(groups, limit)
+        results: list[tuple[dict[int, float], int]] = []
+        for node, span, starter, call in calls:
             try:
-                values, count = self._retried(
-                    _SLICE_RETRY, node, "distances", starter,
-                    node.finish_distances, call,
-                )
+                results.extend(self._retried(
+                    _SPAN_RETRY, node, "distances", starter,
+                    functools.partial(node.finish_distances, groups=span), call,
+                ))
             except RetriesExhausted as error:
                 self._inc(
                     "coordinator.phase3_local_fallbacks",
-                    "Phase 3 pair slices computed locally after a node "
+                    "Phase 3 group spans searched locally after a node "
                     "failed them",
                 )
                 _log.warning(
-                    "phase3 slice falling back to local compute",
-                    node=node.node_id, pairs=len(chunk), error=repr(error),
+                    "phase3 span falling back to local search",
+                    node=node.node_id, groups=len(span), error=repr(error),
                 )
+                results.extend(self.engine.search_groups(span, limit))
                 continue
-            if len(values) != len(chunk):
-                continue
-            computations += count
-            absorbed += len(chunk)
-            for key, value in zip(chunk, values):
-                if value is None:
-                    # Farther than eps: record the bounded verdict, the
-                    # exact analogue of a local cutoff search's INFINITY.
-                    bounded[key] = eps
-                else:
-                    exact[key] = float(value)
-        if exact or bounded:
-            self.engine.absorb_cache(exact, bounded, mark_warm=False)
-        if absorbed:
             self._inc(
                 "coordinator.phase3_remote_pairs",
-                "Phase 3 endpoint pairs answered by shard nodes", absorbed,
+                "Phase 3 endpoint pairs answered by shard nodes",
+                sum(len(targets) for _, targets in span),
             )
-        return computations
+        return results
 
     # ------------------------------------------------------------------
     def _dispatch(

@@ -45,7 +45,6 @@ __all__ = [
     "HashRing",
     "RegionShardMap",
     "boundary_sids",
-    "partition_slices",
 ]
 
 
@@ -276,31 +275,3 @@ def boundary_sids(
         boundary.update(partial_sids & seen)
         seen.update(partial_sids)
     return boundary
-
-
-def partition_slices(
-    count: int, node_ids: Sequence[int]
-) -> list[tuple[int, int, int]]:
-    """Cut ``range(count)`` into contiguous near-even per-node slices.
-
-    Returns ``(node_id, start, stop)`` triples in ``node_ids`` order;
-    the first ``count % len(node_ids)`` nodes get one extra item.  The
-    split is a pure function of ``(count, node_ids)`` — the shard-side
-    Phase 3 fan-out relies on that determinism: two identical runs send
-    identical pair slices to identical nodes, so every downstream
-    counter matches byte-for-byte.  Nodes past ``count`` come back with
-    empty slices (``start == stop``) rather than being dropped, keeping
-    the triple list aligned with its input.
-    """
-    if not node_ids:
-        raise ValueError("node_ids must be non-empty")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    base, extra = divmod(count, len(node_ids))
-    slices: list[tuple[int, int, int]] = []
-    start = 0
-    for position, node_id in enumerate(node_ids):
-        size = base + (1 if position < extra else 0)
-        slices.append((node_id, start, start + size))
-        start += size
-    return slices

@@ -26,17 +26,19 @@ client raises :class:`~repro.errors.MalformedPayload`.
 
 **RPCs** are JSON objects (``sort_keys=True`` end to end, so two
 identical runs put byte-identical frames on the wire): ``ping``,
-``preprocess`` (Phase 1 over shipped trajectories), ``distances``
-(eps-bounded shortest-path distances against the shard's local engine —
-the shard-side half of Phase 3), ``batch`` (several requests in one
-frame), ``stats``, ``reset`` (server closes the connection after
-replying) and ``shutdown``.  Trajectories and base clusters travel
-only as packed columnar arrays (:func:`trajectories_to_packed` /
-:func:`clusters_to_packed`: flat little-endian typed columns,
-base64-wrapped in the JSON envelope; exact, deterministic, and several
-times cheaper to encode than nested number lists).  A ``preprocess``
-request without its ``trajectories_packed`` payload gets a protocol
-error reply, never an empty result.
+``preprocess`` (Phase 1 over shipped trajectories), ``distances`` (one
+span of Phase 3's planned grouped searches, run on the shard's
+replicated network — the shard executor of Phase 3), ``stats``,
+``reset`` (server closes the connection after replying) and
+``shutdown``.  Payloads travel only as packed columnar arrays
+(:func:`trajectories_to_packed` / :func:`clusters_to_packed`, and the
+``distances`` columns: flat little-endian typed columns, base64-wrapped
+in the JSON envelope; exact, deterministic, and several times cheaper to
+encode than nested number lists).  A request or reply whose columns are
+missing or disagree with their counts is a typed error at either end
+(``ok: false`` / ``protocol`` from the server,
+:class:`~repro.errors.MalformedPayload` at the client), never an empty
+or short result.
 
 **Connections are persistent**: a :class:`TransportClient` keeps its
 socket open across calls behind a small per-node
@@ -74,6 +76,7 @@ import base64
 import contextlib
 import io
 import json
+import math
 import os
 import socket
 import socketserver
@@ -121,8 +124,10 @@ _log = get_logger("distributed.transport")
 #: Wire protocol version; bumped on any frame- or message-schema change.
 #: v2 added ``batch``, ``distances`` and ``reset`` plus persistent
 #: connections (the framing itself is unchanged); v3 dropped the row
-#: schema, so ``preprocess`` speaks only the packed columnar payloads.
-PROTOCOL_VERSION = 3
+#: schema, so ``preprocess`` speaks only the packed columnar payloads;
+#: v4 ships ``distances`` as packed groups (``sources`` / ``counts`` /
+#: ``targets`` in, ``distances`` / ``expanded`` out) and drops ``batch``.
+PROTOCOL_VERSION = 4
 
 #: Wire frame magic (the header layout is :mod:`repro.framing`'s).
 FRAME_MAGIC = b"RPW1"
@@ -522,47 +527,24 @@ class ShardNode:
         self.preprocess_calls = 0
         self.trajectories_processed = 0
         self.distance_calls = 0
-        self.distance_pairs = 0
-        self.batched_requests = 0
+        self.distance_groups = 0
         self.connections = 0
         self.bad_frames = 0
         self.torn_frames = 0
-        self._engine = None
-        self._engine_lock = threading.Lock()
 
-    def execute(
-        self, message: dict, allow_batch: bool = True
-    ) -> tuple[dict[str, Any], str]:
+    def execute(self, message: dict) -> tuple[dict[str, Any], str]:
         """One op's response plus the connection action it implies.
 
         The action is ``"keep"`` (serve the next frame), ``"close"``
         (reply, then end the connection — ``reset``) or ``"shutdown"``
-        (reply, then stop the whole server).  ``batch`` executes its
-        sub-requests in order through this same method and aggregates
-        the strongest action.  Op failures come back as ``ok: false``
-        replies; this method never raises.
+        (reply, then stop the whole server).  Op failures come back as
+        ``ok: false`` replies; this method never raises.
         """
         if not isinstance(message, dict):
             return _protocol_error("message is not a JSON object"), "keep"
         op = message.get("op")
         try:
             payload = message.get("payload") or {}
-            if op == "batch":
-                if not allow_batch:
-                    return _protocol_error("batch ops cannot nest"), "keep"
-                self.batched_requests += 1
-                responses: list[dict[str, Any]] = []
-                action = "keep"
-                for request in payload.get("requests", []):
-                    response, sub_action = self.execute(
-                        request, allow_batch=False
-                    )
-                    responses.append(response)
-                    if sub_action == "shutdown":
-                        action = "shutdown"
-                    elif sub_action == "close" and action == "keep":
-                        action = "close"
-                return {"ok": True, "result": {"responses": responses}}, action
             self.requests += 1
             if op == "ping":
                 return {"ok": True, "result": {"node_id": self.node_id}}, "keep"
@@ -590,27 +572,15 @@ class ShardNode:
                     "result": {"clusters_packed": clusters_to_packed(clusters)},
                 }, "keep"
             if op == "distances":
-                return {
-                    "ok": True,
-                    "result": self.compute_distances(
-                        [
-                            (int(source), int(target))
-                            for source, target in payload.get("pairs", [])
-                        ],
-                        payload.get("cutoff"),
-                    ),
-                }, "keep"
+                return {"ok": True, "result": self.compute_distances(payload)}, "keep"
             if op == "stats":
                 return {"ok": True, "result": self.stats()}, "keep"
             if op == "reset":
-                # Drop warm per-run state (the lazily-built distance
-                # engine), then a server-initiated connection close: the
-                # reply goes out, then the connection ends.  A pooled
-                # client discovers the close on its next reuse and
-                # reconnects.  Benches use this between rounds so every
-                # round is cold on both sides of the wire.
-                with self._engine_lock:
-                    self._engine = None
+                # A server-initiated connection close: the reply goes
+                # out, then the connection ends.  A pooled client
+                # discovers the close on its next reuse and reconnects.
+                # Benches use this between rounds so every round opens
+                # fresh connections.
                 return {"ok": True, "result": {"closing": True}}, "close"
             if op == "shutdown":
                 return {"ok": True, "result": {"stopping": True}}, "shutdown"
@@ -627,52 +597,55 @@ class ShardNode:
             "preprocess_calls": self.preprocess_calls,
             "trajectories_processed": self.trajectories_processed,
             "distance_calls": self.distance_calls,
-            "distance_pairs": self.distance_pairs,
-            "batched_requests": self.batched_requests,
+            "distance_groups": self.distance_groups,
             "connections": self.connections,
             "bad_frames": self.bad_frames,
             "torn_frames": self.torn_frames,
         }
 
     # -- shard-side Phase 3 ---------------------------------------------
-    def compute_distances(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        cutoff: float | None = None,
-    ) -> dict[str, Any]:
-        """Eps-bounded shortest-path distances over the local network.
+    def compute_distances(self, payload: dict[str, Any]) -> dict[str, str]:
+        """Run one span of Phase 3's planned groups on the local network.
 
-        The shard-side half of Phase 3: the coordinator ships the
-        endpoint pairs that survived its lower-bound tiers and this node
-        answers them against its *own* replicated network through the
-        same batched multi-target kernels a serial run uses — so every
-        value is bit-identical to what the coordinator would have
-        computed itself.  A distance beyond ``cutoff`` is reported as
-        ``None`` ("farther than cutoff", the only verdict an eps region
-        query needs).
+        The shard executor of Phase 3.  ``payload`` packs whole groups as
+        int64 columns (``sources``, ``counts`` of targets per group,
+        ``targets`` back to back) plus the eps ``cutoff``; each group runs
+        the bounded kernel a serial run does, so every value is
+        bit-identical.  The reply packs one float64 distance per target
+        (infinity beyond the cutoff) and one int64 ``expanded`` count per
+        group.
 
-        The per-node engine memoizes across calls, so repeated
-        benchmarks rounds hit the warm cache.  ``computations`` in the
-        reply is this call's fresh-search delta, letting the coordinator
-        keep honest Figure-7 accounting for work done remotely.
+        Raises:
+            MalformedPayload: A column is missing, not base64 or
+                disagrees with the counts, a count is negative, a
+                junction is not in the network, or the cutoff is not a
+                finite number >= 0.
         """
-        from ..roadnet.shortest_path import INFINITY, ShortestPathEngine
-
-        with self._engine_lock:
-            if self._engine is None:
-                self._engine = ShortestPathEngine(self.network, directed=False)
-            engine = self._engine
-            limit = None if cutoff is None else float(cutoff)
-            before = engine.computations
-            engine.prefetch_grouped(pairs, cutoff=limit)
-            values: list[float | None] = []
-            for source, target in pairs:
-                distance = engine.distance(source, target, cutoff=limit)
-                values.append(None if distance == INFINITY else distance)
-            computations = engine.computations - before
+        cutoff = payload.get("cutoff")
+        if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)) or not (
+            math.isfinite(cutoff) and cutoff >= 0
+        ):
+            raise MalformedPayload(f"cutoff {cutoff!r} is not a finite number >= 0")
+        sources = _unpack_array(payload, "sources", "q")
+        counts = _sized_column(payload, "counts", "q", len(sources))
+        if any(count < 0 for count in counts):
+            raise MalformedPayload("a group has a negative target count")
+        targets = _sized_column(payload, "targets", "q", sum(counts))
+        for node in (*sources, *targets):
+            if not self.network.has_node(node):
+                raise MalformedPayload(f"junction {node} is not in the network")
+        graph = self.network.csr(False)
+        distances, expanded = array("d"), array("q")
+        offset = 0
+        for source, count in zip(sources, counts):
+            group = targets[offset:offset + count]
+            offset += count
+            found, settled = graph.multi_target_distances(source, group, cutoff)
+            distances.extend(found.get(target, math.inf) for target in group)
+            expanded.append(settled)
         self.distance_calls += 1
-        self.distance_pairs += len(pairs)
-        return {"distances": values, "computations": computations}
+        self.distance_groups += len(sources)
+        return {"distances": _pack_array(distances), "expanded": _pack_array(expanded)}
 
 
 class _ShardTCPServer(socketserver.ThreadingTCPServer):
@@ -949,7 +922,6 @@ class _PendingCall:
     reused: bool
     fault: str | None
     frame: bytes
-    batched: bool = False
     #: The handler's reply dict, for in-process calls.
     reply: dict[str, Any] | None = None
 
@@ -1013,16 +985,14 @@ class _NodeClient:
             )
         return fault, plan
 
-    def _result(self, message: dict[str, Any], where: str = "") -> Any:
+    def _result(self, message: dict[str, Any]) -> Any:
         """A reply's ``result``, or the :class:`TransportError` it names."""
         if message.get("ok"):
             return message.get("result")
         kind = str(message.get("kind", "protocol"))
         if kind not in _FAULT_KINDS.values():
             kind = "protocol"
-        raise self._fail(
-            kind, where + str(message.get("error", "request rejected"))
-        )
+        raise self._fail(kind, str(message.get("error", "request rejected")))
 
     def call(self, op: str, payload: dict[str, Any] | None = None) -> Any:
         """One RPC: request then response; returns its ``result``.
@@ -1031,35 +1001,6 @@ class _NodeClient:
         or :class:`HandshakeFailed` for a rejected hello.
         """
         return self.finish(self.start(op, payload))
-
-    def call_batch(
-        self, requests: Sequence[tuple[str, dict[str, Any] | None]]
-    ) -> list[Any]:
-        """Several RPCs in one ``batch`` frame (one call index, one RTT);
-        their results in request order, raising on the first rejected."""
-        return self.finish_batch(self.start_batch(requests))
-
-    def start_batch(
-        self, requests: Sequence[tuple[str, dict[str, Any] | None]]
-    ) -> _PendingCall:
-        """Send one ``batch`` frame carrying several requests."""
-        self._inc(
-            "transport.batched_calls", "Batch frames carrying multiple requests"
-        )
-        pending = self.start("batch", {
-            "requests": [_request(op, payload) for op, payload in requests]
-        })
-        pending.batched = True
-        return pending
-
-    def finish_batch(self, pending: _PendingCall) -> list[Any]:
-        """Unwrap a ``batch`` response into per-request results."""
-        return [
-            self._result(message, f"batch item {index}: ")
-            for index, message in enumerate(
-                self.finish(pending).get("responses", [])
-            )
-        ]
 
 
 class InProcessClient(_NodeClient):
@@ -1430,57 +1371,55 @@ class RemoteDataNode:
             raise MalformedPayload("preprocess reply lacks 'clusters_packed'")
         return clusters_from_packed(result["clusters_packed"])
 
-    #: Pairs per ``distances`` sub-request inside one batch frame.  Small
-    #: enough that a single reply frame stays in the low megabytes, large
-    #: enough that the per-message overhead is noise.
-    DISTANCE_CHUNK = 2048
-
     def start_distances(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        cutoff: float | None = None,
+        self, groups: Sequence[tuple[int, Sequence[int]]], cutoff: float
     ) -> _PendingCall:
-        """Write a ``distances`` request (chunked through ``batch``).
+        """Write a ``distances`` request for a span of planned groups.
 
-        A slice small enough to fit one chunk goes out as a plain
-        ``distances`` call; larger slices ride one ``batch`` frame of
-        chunk-sized sub-requests — still a single wire call (one fault
-        index, one round trip).
+        One wire call (one fault index, one round trip) packs the span
+        as int64 ``sources``, ``counts`` and back-to-back ``targets``.
         """
         if not self.healthy:
             raise NodeDown(self.node_id)
-        chunks = [
-            [[s, t] for s, t in pairs[i:i + self.DISTANCE_CHUNK]]
-            for i in range(0, len(pairs), self.DISTANCE_CHUNK)
-        ] or [[]]
-        if len(chunks) == 1:
-            return self.client.start(
-                "distances", {"pairs": chunks[0], "cutoff": cutoff}
-            )
-        return self.client.start_batch([
-            ("distances", {"pairs": chunk, "cutoff": cutoff})
-            for chunk in chunks
-        ])
+        sources, counts, targets = array("q"), array("q"), array("q")
+        for source, group in groups:
+            sources.append(source)
+            counts.append(len(group))
+            targets.extend(group)
+        return self.client.start("distances", {
+            "sources": _pack_array(sources), "counts": _pack_array(counts),
+            "targets": _pack_array(targets), "cutoff": cutoff,
+        })
 
     def finish_distances(
-        self, pending: _PendingCall
-    ) -> tuple[list[float | None], int]:
-        """Collect ``(distances, computations)`` from a started call.
+        self, pending: _PendingCall, groups: Sequence[tuple[int, Sequence[int]]]
+    ) -> list[tuple[dict[int, float], int]]:
+        """Collect a started call's ``(found, expanded)`` per group.
 
-        Unreachable pairs come back as ``None`` (infinity does not
-        survive JSON); ``computations`` is the shard-side search count,
-        folded into the coordinator's Phase 3 stats.
+        ``found`` maps each target settled within the cutoff to its
+        distance, as the local kernel's does, so the coordinator files
+        shard answers through its own store path.
+
+        Raises:
+            MalformedPayload: The reply holds a different number of
+                distances than targets or of ``expanded`` counts than
+                groups, a negative count, or a distance that is not a
+                number >= 0.
         """
-        if pending.batched:
-            results = self.client.finish_batch(pending)
-        else:
-            results = [self.client.finish(pending)]
-        values: list[float | None] = []
-        computations = 0
-        for result in results:
-            values.extend(result["distances"])
-            computations += int(result.get("computations", 0))
-        return values, computations
+        result = self.client.finish(pending)
+        expanded = _sized_column(result, "expanded", "q", len(groups))
+        distances = _sized_column(
+            result, "distances", "d", sum(len(group) for _, group in groups)
+        )
+        if any(count < 0 for count in expanded):
+            raise MalformedPayload("a group reports a negative expanded count")
+        if not all(value >= 0 for value in distances):  # NaN-safe
+            raise MalformedPayload("a distance is not a number >= 0")
+        values = iter(distances)
+        return [
+            ({t: d for t, d in zip(group, values) if d != math.inf}, settled)
+            for (_, group), settled in zip(groups, expanded)
+        ]
 
 
 # ----------------------------------------------------------------------

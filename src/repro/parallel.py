@@ -1,8 +1,8 @@
 """Zero-copy process-parallel compute core.
 
-The one fan-out of the pipeline: Phase 3's grouped shortest-path
-searches (``ShortestPathEngine._batch_group_search``) run against a
-read-only CSR snapshot of the road network.  Everything else runs
+The pool executor of Phase 3: the planned grouped shortest-path
+searches (``ShortestPathEngine.search_groups``) run against a read-only
+CSR snapshot of the road network.  Everything else runs
 inline; Phase 1 in particular was slower through the pool than serial,
 because shipping its inputs and results cost more than fragmenting
 them.  Three design rules keep the remaining fan-out cheap:
@@ -135,8 +135,11 @@ def effective_workers(
 def split_spans(item_count: int, span_count: int) -> list[tuple[int, int]]:
     """Split ``range(item_count)`` into ``(first_item, length)`` spans.
 
-    Contiguous, near-even, covering the range exactly, at most
-    ``item_count`` spans.
+    Contiguous, near-even (the first ``item_count % span_count`` spans
+    get one extra item), covering the range exactly, at most
+    ``item_count`` spans, and a pure function of its arguments: the
+    pool's and the shards' group spans are cut here, so two identical
+    runs send identical spans.
     """
     count = max(1, min(span_count, item_count))
     base, extra = divmod(item_count, count)

@@ -10,9 +10,8 @@ snapshot (:meth:`RoadNetwork.csr`).  This module holds the two ways in:
   searches, so the ELB experiments (Figure 7) can report exactly how
   many shortest-path computations a clustering run performed.  It
   answers uncached point queries with the bidirectional CSR search, and
-  can answer uncached pairs up front with batched multi-target searches
-  fanned out across worker processes
-  (:meth:`ShortestPathEngine.prefetch_grouped`).
+  files planned multi-target searches run inline, in worker processes or
+  on shard nodes (:meth:`ShortestPathEngine.prefetch_grouped`).
 
 Directed searches respect one-way segments (used by the trip simulator);
 undirected searches ignore direction (used by Phase 3's network proximity,
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .network import RoadNetwork
 
@@ -160,11 +159,11 @@ class ShortestPathEngine:
             table (identity queries are not counted).
         nodes_expanded: Total nodes settled across all Dijkstra searches
             (0 for oracle-backed answers, which do not run a search).
-        grouped_searches: Multi-target kernel runs executed by
-            :meth:`prefetch_grouped` (each also counts once in
-            ``computations``).
+        grouped_searches: Multi-target kernel runs filed by
+            :meth:`prefetch_grouped`, wherever they ran (each also
+            counts once in ``computations``).
         warm_hits: Cache hits answered by entries loaded from a persisted
-            distance cache (:meth:`absorb_cache` with ``mark_warm``) —
+            distance cache (:meth:`absorb_cache`) —
             the restart-warm-start quantity ``sp.cache.warm_hits`` tracks.
     """
 
@@ -346,39 +345,32 @@ class ShortestPathEngine:
 
     def prefetch_grouped(
         self,
-        pairs: Iterable[tuple[int, int]],
+        groups: Sequence[tuple[int, tuple[int, ...]]],
         cutoff: float | None = None,
-        workers: int | None = 1,
+        executor: Callable | None = None,
     ) -> int:
-        """Warm the cache via batched multi-target single-source kernels.
+        """Run planned multi-target searches and file every answer.
 
-        The tiered-oracle replacement for per-pair :meth:`prefetch`:
-        the :meth:`unknown_pairs` are grouped by :func:`plan_source_groups` and each group runs one
-        eps-bounded single-source search with an early-exit target set —
-        ``O(distinct endpoints)`` searches instead of one per pair.  Each
-        kernel run counts once in ``computations`` (its settled nodes in
-        ``nodes_expanded``), and delivery accounting matches
-        :meth:`prefetch`: the next :meth:`distance` call per answered
-        pair is the computation's delivery, not a cache hit — so counters
-        are identical at any worker count.
+        ``groups`` are ``(source, targets)`` searches over normalized
+        pairs this engine does not know yet, grouped by
+        :func:`plan_source_groups` (Phase 3 plans them once, in
+        :func:`~repro.core.refinement.plan_phase3`).  ``executor(groups,
+        limit)`` runs them and returns one ``(found, expanded)`` per
+        group, ``found`` mapping each target settled within ``limit`` to
+        its distance; the default is :meth:`search_groups` inline (bind
+        its ``workers`` for the pool).  Whatever ran them, this is
+        the one place results are stored: each group counts once in
+        ``computations`` and ``grouped_searches`` (its settled nodes in
+        ``nodes_expanded``), and the next :meth:`distance` call per
+        answered pair is the computation's delivery, not a cache hit —
+        so counters are identical at any worker or node count.
 
-        Returns the number of searches executed.
+        Returns the number of searches filed.
         """
-        needed = self.unknown_pairs(pairs, cutoff)
-        if not needed:
+        if not groups:
             return 0
-        if self.oracle is not None:
-            # The oracle answers point queries directly; grouping buys
-            # nothing, so fall through to the per-pair path.
-            for key in needed:
-                self._count_search(0)
-                self._cache[key] = self.oracle.distance(key[0], key[1])
-                self._bounded.pop(key, None)
-                self._prepaid.add(key)
-            return len(needed)
-        groups = plan_source_groups(needed)
         limit = INFINITY if cutoff is None else cutoff
-        results = self._batch_group_search(groups, limit, workers)
+        results = (executor or self.search_groups)(groups, limit)
         for (source, targets), (found, expanded) in zip(groups, results):
             self._count_search(expanded)
             self.grouped_searches += 1
@@ -405,32 +397,28 @@ class ShortestPathEngine:
         self.prefetch(pair_list, cutoff=cutoff)
         return [self.distance(s, t, cutoff=cutoff) for s, t in pair_list]
 
-    def _batch_group_search(
+    def search_groups(
         self,
-        groups: list[tuple[int, tuple[int, ...]]],
+        groups: Sequence[tuple[int, tuple[int, ...]]],
         limit: float,
-        workers: int | None,
+        workers: int | None = 1,
     ) -> list[tuple[dict[int, float], int]]:
-        """Run the grouped kernels for ``groups``, serially or in a pool.
+        """The inline and pool executors of :meth:`prefetch_grouped`.
 
-        The parallel path is zero-copy: workers attach the shared CSR
-        snapshot registered with the persistent pool, and the groups are
-        shipped as one flat int64 batch segment with per-task (offset,
-        length) descriptors.  Each group is flat-encoded as ``[source,
-        n_targets, targets...]`` (self-delimiting, so a worker walks
-        exactly its span).
+        One bounded multi-target kernel per group, inline or in the
+        worker pool (:func:`~repro.parallel.map_flat` runs too small a
+        batch inline).  The parallel path is zero-copy: workers attach the
+        shared CSR snapshot registered with the persistent pool, and the
+        groups are shipped as one flat int64 batch segment with per-task
+        (offset, length) descriptors.  Each group is flat-encoded as
+        ``[source, n_targets, targets...]`` (self-delimiting, so a worker
+        walks exactly its span).
         """
         from array import array
         from functools import partial
 
-        from ..parallel import csr_resource, effective_workers, map_flat
+        from ..parallel import csr_resource, map_flat
 
-        if effective_workers(workers, len(groups), MIN_GROUPS_PER_WORKER) <= 1:
-            graph = self.network.csr(self.directed)
-            return [
-                graph.multi_target_distances(source, targets, limit)
-                for source, targets in groups
-            ]
         flat = array("q")
         boundaries = [0]
         for source, targets in groups:
@@ -489,13 +477,12 @@ class ShortestPathEngine:
         self,
         exact: dict[tuple[int, int], float],
         bounded: dict[tuple[int, int], float],
-        mark_warm: bool = True,
     ) -> int:
         """Merge previously exported memo tables into this engine.
 
         Existing entries win (they were computed against this very
-        network instance); absorbed keys are normalized and, with
-        ``mark_warm``, tracked so hits on them count ``warm_hits``.
+        network instance); absorbed keys are normalized and tracked so
+        hits on them count ``warm_hits``.
 
         Returns the number of entries absorbed.
         """
@@ -507,8 +494,7 @@ class ShortestPathEngine:
             self._cache[key] = value
             self._bounded.pop(key, None)
             added += 1
-            if mark_warm:
-                self._warm.add(key)
+            self._warm.add(key)
         for (source, target), bound in bounded.items():
             key = self._key(source, target)
             if key in self._cache:
@@ -516,8 +502,7 @@ class ShortestPathEngine:
             if bound > self._bounded.get(key, 0.0):
                 self._bounded[key] = bound
                 added += 1
-                if mark_warm:
-                    self._warm.add(key)
+                self._warm.add(key)
         return added
 
     def bind_metrics(self, registry) -> None:

@@ -66,6 +66,49 @@ def wire_document(result, network: RoadNetwork) -> str:
     )
 
 
+class ReplyClient:
+    """A node client that records each request and answers with ``reply``."""
+
+    address = "fake"
+
+    def __init__(self, reply=None) -> None:
+        self.reply = reply
+        self.requests: list[tuple[str, dict | None]] = []
+
+    def start(self, op, payload=None):
+        self.requests.append((op, payload))
+        return None
+
+    def finish(self, pending):
+        return self.reply
+
+
+def distances_payload(groups, cutoff) -> dict:
+    """The ``distances`` request a remote node sends for ``groups``."""
+    from repro.distributed.transport import RemoteDataNode
+
+    client = ReplyClient()
+    RemoteDataNode(0, client).start_distances(groups, cutoff)
+    [(_, payload)] = client.requests
+    return payload
+
+
+def recipe_input(name: str):
+    """Seed 7 of a neatbench recipe: its network, trips and eps."""
+    import sys
+    from pathlib import Path
+
+    root = str(Path(__file__).resolve().parent.parent)
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from neatbench import workloads
+    from neatbench.inputs import network_for, trips
+
+    recipe = getattr(workloads, name)
+    network = network_for(recipe)
+    return network, trips(recipe, network, 7), recipe.eps
+
+
 def trajectory_through(
     network: RoadNetwork, trid: int, sids: list[int], t0: float = 0.0
 ) -> Trajectory:

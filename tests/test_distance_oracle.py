@@ -9,6 +9,7 @@ worker counts, or cluster-output invariance across the oracle tiers.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -29,6 +30,16 @@ from reference_sp import (
     dijkstra_multi_target,
 )
 from test_csr import random_network, sample_pairs
+
+
+def prefetch_pairs(engine, pairs, cutoff, workers=1):
+    """Plan ``pairs`` as Phase 3 plans its endpoint pairs, then run the
+    groups through the engine's one store path."""
+    groups = plan_source_groups(engine.unknown_pairs(pairs, cutoff=cutoff))
+    return engine.prefetch_grouped(
+        groups, cutoff=cutoff,
+        executor=partial(engine.search_groups, workers=workers),
+    )
 
 
 class TestMultiTargetKernel:
@@ -163,7 +174,7 @@ class TestGroupedPrefetch:
             ]
 
         grouped = ShortestPathEngine(network)
-        grouped.prefetch_grouped(pairs, cutoff=cutoff)
+        prefetch_pairs(grouped, pairs, cutoff)
         grouped_values = [grouped.distance(a, b, cutoff=cutoff) for a, b in pairs]
 
         for got, want in zip(grouped_values, lazy_values):
@@ -181,7 +192,7 @@ class TestGroupedPrefetch:
         engines = {}
         for workers in (1, 3):
             engine = ShortestPathEngine(network)
-            engine.prefetch_grouped(pairs, cutoff=700.0, workers=workers)
+            prefetch_pairs(engine, pairs, 700.0, workers=workers)
             engines[workers] = engine
         serial, parallel = engines[1], engines[3]
         assert serial.computations == parallel.computations
@@ -198,7 +209,7 @@ class TestGroupedPrefetch:
         pairs = self._pairs(network, 37)
         cutoff = 700.0
         engine = ShortestPathEngine(network)
-        engine.prefetch_grouped(pairs, cutoff=cutoff)
+        prefetch_pairs(engine, pairs, cutoff)
 
         groups = plan_source_groups({tuple(sorted(p)) for p in pairs})
         exact, bounded, settled = {}, {}, 0
@@ -221,7 +232,7 @@ class TestGroupedPrefetch:
         network = random_network(41)
         pairs = self._pairs(network, 41)[:10]
         engine = ShortestPathEngine(network)
-        engine.prefetch_grouped(pairs, cutoff=700.0)
+        prefetch_pairs(engine, pairs, 700.0)
         hits_before = engine.cache_hits
         for a, b in pairs:
             engine.distance(a, b, cutoff=700.0)
@@ -408,7 +419,7 @@ class TestEngineCounterPlumbing:
         network = random_network(53)
         pairs = [(a, b) for a, b in sample_pairs(network, 53, count=20) if a != b]
         engine = ShortestPathEngine(network)
-        engine.prefetch_grouped(pairs, cutoff=500.0)
+        prefetch_pairs(engine, pairs, 500.0)
         assert engine.grouped_searches > 0
         engine.reset_counters()
         assert engine.grouped_searches == 0
@@ -426,7 +437,7 @@ class TestEngineCounterPlumbing:
         registry = MetricsRegistry()
         engine = ShortestPathEngine(network)
         engine.bind_metrics(registry)
-        engine.prefetch_grouped(pairs, cutoff=500.0)
+        prefetch_pairs(engine, pairs, 500.0)
         assert registry.value("roadnet.sp.grouped_searches") == float(
             engine.grouped_searches
         )

@@ -18,7 +18,7 @@ from repro.distributed import (
 from repro.obs import Telemetry
 from repro.resilience import FaultPlan
 
-from conftest import trajectory_through, wire_document
+from conftest import recipe_input, trajectory_through, wire_document
 
 
 class TestSharding:
@@ -150,57 +150,107 @@ class TestCoordinator:
 
 
 class TestInProcessPhase3:
-    """``remote_phase3`` over in-process nodes: the shard op handler
-    answers the distance slices, no process or socket involved."""
+    """``remote_phase3`` over in-process nodes: the shard op handler runs
+    the planned group spans, no process or socket involved.  One plan and
+    one store path make every Phase 3 counter equal serial's, wherever
+    the searches ran."""
 
     @staticmethod
-    def run(workload, node_count, plan=None):
-        network, dataset = workload
+    def run(network, trajectories, eps, node_count, plan=None):
         telemetry = Telemetry.create()
         coordinator = NeatCoordinator(
-            network, NEATConfig(eps=6500.0), node_count=node_count,
+            network, NEATConfig(eps=eps), node_count=node_count,
             telemetry=telemetry, remote_phase3=True,
         )
         if plan is not None:
             coordinator.nodes[0].client.faults.arm("transport.node0", plan)
-        result = coordinator.run(list(dataset), mode="opt")
-        return result, telemetry.metrics, coordinator.engine
+        result = coordinator.run(trajectories, mode="opt")
+        return result, telemetry.metrics, coordinator
 
     @staticmethod
-    def serial(workload):
-        network, dataset = workload
-        return NEAT(network, NEATConfig(eps=6500.0)).run(list(dataset), mode="opt")
+    def serial(network, trajectories, eps):
+        neat = NEAT(network, NEATConfig(eps=eps))
+        return neat.run(trajectories, mode="opt"), neat.engine
 
     @staticmethod
-    def searches(result):
-        return result.refinement_stats.shortest_path_computations
+    def counters(result, engine):
+        return {
+            "searches": result.refinement_stats.shortest_path_computations,
+            "computations": engine.computations,
+            "cache_hits": engine.cache_hits,
+            "nodes_expanded": engine.nodes_expanded,
+            "grouped_searches": engine.grouped_searches,
+        }
+
+    @staticmethod
+    def shard_groups(coordinator):
+        return sum(
+            node.client.node.stats()["distance_groups"]
+            for node in coordinator.nodes
+        )
 
     def test_matches_serial(self, small_workload):
-        network = small_workload[0]
-        serial = self.serial(small_workload)
-        result, metrics, engine = self.run(small_workload, 1)
+        network, dataset = small_workload
+        serial, serial_engine = self.serial(network, list(dataset), 6500.0)
+        result, metrics, coordinator = self.run(
+            network, list(dataset), 6500.0, 1
+        )
         assert wire_document(result, network) == wire_document(serial, network)
-        assert self.searches(result) == self.searches(serial)
+        assert self.counters(result, coordinator.engine) == self.counters(
+            serial, serial_engine
+        )
         assert metrics.value("coordinator.phase3_remote_pairs") > 0
-        assert engine.computations == 0  # nothing ran locally
+        # Every search ran on the shard, none locally.
+        assert self.shard_groups(coordinator) == serial_engine.computations
+        assert metrics.value("coordinator.phase3_local_fallbacks") == 0
 
-    @pytest.mark.parametrize("node_count", [1, 3])
+    @pytest.mark.parametrize("node_count", [2, 3, 4])
+    def test_counters_match_serial_at_any_node_count(
+        self, small_workload, node_count
+    ):
+        network, dataset = small_workload
+        serial, serial_engine = self.serial(network, list(dataset), 6500.0)
+        result, metrics, coordinator = self.run(
+            network, list(dataset), 6500.0, node_count
+        )
+        assert wire_document(result, network) == wire_document(serial, network)
+        assert self.counters(result, coordinator.engine) == self.counters(
+            serial, serial_engine
+        )
+        assert self.shard_groups(coordinator) == serial_engine.computations
+        assert metrics.value("coordinator.phase3_local_fallbacks") == 0
+
+    @pytest.mark.parametrize("node_count", [1, 2, 3, 4])
     def test_failed_slice_falls_back_locally(self, small_workload, node_count):
-        network = small_workload[0]
-        reference = wire_document(self.serial(small_workload), network)
-        clean, _, clean_engine = self.run(small_workload, node_count)
+        network, dataset = small_workload
+        serial, serial_engine = self.serial(network, list(dataset), 6500.0)
         # Call 1 is node 0's preprocess; calls 2 and 3 are its pipelined
         # and blocking distances calls.
-        result, metrics, engine = self.run(
-            small_workload, node_count, FaultPlan(kill_from=2)
+        result, metrics, coordinator = self.run(
+            network, list(dataset), 6500.0, node_count, FaultPlan(kill_from=2)
         )
-        assert wire_document(clean, network) == reference
-        assert wire_document(result, network) == reference
+        assert wire_document(result, network) == wire_document(serial, network)
         assert metrics.value("coordinator.phase3_local_fallbacks") == 1
-        assert clean_engine.computations == 0 < engine.computations
-        # Contiguous pair slices can split one grouped search across
-        # nodes, so only the fault-free count is the reference here.
-        assert self.searches(result) == self.searches(clean)
+        assert self.counters(result, coordinator.engine) == self.counters(
+            serial, serial_engine
+        )
+        # Node 0's span ran inline; the other nodes ran the rest.
+        assert self.shard_groups(coordinator) < serial_engine.computations
+
+    @pytest.mark.parametrize("recipe, searches", [
+        ("DENSE", 18), ("SPREAD", 137),
+    ])
+    def test_recipe_counters_match_serial(self, recipe, searches):
+        network, trajectories, eps = recipe_input(recipe)
+        serial, serial_engine = self.serial(network, trajectories, eps)
+        expected = self.counters(serial, serial_engine)
+        assert expected["searches"] == searches
+        for node_count in (1, 2, 3, 4):
+            result, _, coordinator = self.run(
+                network, trajectories, eps, node_count
+            )
+            assert self.counters(result, coordinator.engine) == expected
+            assert self.shard_groups(coordinator) == searches
 
 
 class TestAltEngineIntegration:

@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.config import NEATConfig
 from repro.core.incremental import IncrementalNEAT
+from repro.core.model import Trajectory
 from repro.core.pipeline import NEAT
+from repro.errors import TrajectoryError
 
 from conftest import trajectory_through
 
@@ -39,6 +41,18 @@ class TestBatching:
         incremental.add_batch(trs)
         with pytest.raises(ValueError):
             incremental.add_batch(trs)
+
+    def test_junction_mark_off_its_junction_rejected(self, line3):
+        # Recovery refuses a state holding such a location, so the batch
+        # is refused and rolls back: the clusterer stays as it was.
+        incremental = IncrementalNEAT(line3, NEATConfig(min_card=0))
+        trajectory = trajectory_through(line3, 0, [0, 1])
+        first = trajectory.locations[0]._replace(node_id=3)
+        with pytest.raises(TrajectoryError, match="marks junction 3"):
+            incremental.add_batch([
+                Trajectory(0, (first, *trajectory.locations[1:]))
+            ])
+        assert incremental.batch_count == 0
 
     def test_auto_offset_reassigns_ids(self, line3):
         incremental = IncrementalNEAT(line3, NEATConfig(min_card=0))

@@ -48,7 +48,7 @@ def engines(draw) -> ShortestPathEngine:
     exact = {key: draw(exact_values) for key in keys[:split]}
     bounded = {key: draw(bound_values) for key in keys[split:]}
     engine = ShortestPathEngine(NETWORK)
-    engine.absorb_cache(exact, bounded, mark_warm=False)
+    engine.absorb_cache(exact, bounded)
     return engine
 
 
@@ -94,7 +94,7 @@ def assert_decodes_canonically(payload: bytes) -> None:
     except CorruptSnapshot:
         return
     engine = ShortestPathEngine(NETWORK)
-    engine.absorb_cache(exact, bounded, mark_warm=False)
+    engine.absorb_cache(exact, bounded)
     assert encode_distance_cache(engine) == payload
 
 

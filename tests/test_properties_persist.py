@@ -26,9 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid3x3_network, trajectory_through
+from conftest import grid3x3_network, recipe_input, trajectory_through
 from repro.core import NEATConfig
 from repro.core.incremental import IncrementalNEAT
+from repro.core.model import Location, Trajectory
 from repro.core.serialize import result_to_dict
 from repro.errors import CorruptSnapshot, PersistenceError
 from repro.persist import (
@@ -39,7 +40,7 @@ from repro.persist import (
     seal_snapshot,
     unseal_snapshot,
 )
-from repro.roadnet.builder import network_from_edges
+from repro.roadnet.builder import line_network, network_from_edges
 
 payloads_strategy = st.lists(
     st.binary(min_size=0, max_size=64), min_size=0, max_size=8
@@ -251,6 +252,42 @@ class TestSnapshotDecoderProperties:
             assert again == original
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 2)),
+            min_size=2, max_size=6,
+        ),
+        min_size=1, max_size=3,
+    ))
+    def test_tied_timestamps_recover_unchanged(self, walks):
+        """States whose fragments tie in time recover as they were.
+
+        Each walk visits random grid segments with time steps of 0, 1 or
+        2, so crossings often share a timestamp and base clusters list
+        fragments out of travel order."""
+        network = grid3x3_network()
+        config = NEATConfig(min_card=0)
+        batch = []
+        for trid, steps in enumerate(walks):
+            t, locations = 0.0, []
+            for sid, step in steps:
+                t += step
+                point = network.point_on_segment(sid, network.segment(sid).length / 2)
+                locations.append(Location(sid, point.x, point.y, t))
+            batch.append(Trajectory(trid, tuple(locations)))
+        with tempfile.TemporaryDirectory() as tmp:
+            clusterer = IncrementalNEAT(network, config)
+            clusterer.enable_persistence(Path(tmp), fsync=False)
+            clusterer.add_batch(batch)
+            clusterer.checkpoint()
+            expected = json.loads(encode_state_payload(clusterer._state_document()))
+            recovered = IncrementalNEAT.recover(Path(tmp), network, config, fsync=False)
+            assert json.loads(
+                encode_state_payload(recovered._state_document())
+            ) == expected
+
+
 class TestSnapshotDecoderRegressions:
     def test_interleaved_state_reencodes_exactly(self, state_template, tmp_path):
         # Checkpoints after every batch list each batch's noise-flow base
@@ -288,6 +325,69 @@ class TestSnapshotDecoderRegressions:
         _reseal(tmp_path / "state", lambda document: edit(document["result"]))
         with pytest.raises(CorruptSnapshot, match=message):
             _recovered_document(network, tmp_path / "state")
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.__setitem__(1, row[1] + 1.5), "sits at"),
+        (lambda row: row.__setitem__(2, row[2] + 1.5), "sits at"),
+        (lambda row: row.__setitem__(3, 99.0), "do not meet at one junction"),
+        (lambda row: row.__setitem__(4, 3), "marks junction 3 but sits at"),
+        (lambda row: row.__setitem__(4, None), "do not meet at one junction"),
+        (lambda row: row.__setitem__(slice(1, 5), [100.0, 100.0, row[3], 4]),
+         "not an endpoint of segment 0"),
+    ], ids=["x", "y", "t", "node-id", "unmarked", "off-segment"])
+    def test_junction_location_corruption(self, state_template, tmp_path, edit, message):
+        # The first fragment ends where its trajectory crosses junction 1.
+        network, template = state_template
+        shutil.copytree(template, tmp_path / "state")
+        assert _fragment(_reseal(tmp_path / "state", lambda document: None)[
+            "result"])["locations"][-1][4] == 1
+        _reseal(
+            tmp_path / "state",
+            lambda document: edit(_fragment(document["result"])["locations"][-1]),
+        )
+        with pytest.raises(CorruptSnapshot, match=message):
+            _recovered_document(network, tmp_path / "state")
+
+    @pytest.mark.parametrize("sids", [(1, 0), (1, 0, 1)],
+                             ids=["later-segment-first", "junction-twice"])
+    def test_equal_time_crossings_recover(self, tmp_path, sids):
+        """Fragments that meet at one timestamp chain in any listed order.
+
+        Every sample shares t=5, so each fragment spans (5, 5); the base
+        cluster listed first is not the trajectory's first segment, and in
+        the second case junction 1 is crossed twice at t=5."""
+        network = line_network(3)
+        config = NEATConfig(min_card=0)
+        trajectory = Trajectory(0, tuple(
+            Location(sid, 100.0 * sid + 50.0, 0.0, 5.0) for sid in sids
+        ))
+        clusterer = IncrementalNEAT(network, config)
+        clusterer.enable_persistence(tmp_path, fsync=False)
+        clusterer.add_batch([trajectory])
+        clusterer.checkpoint()
+        expected = json.loads(encode_state_payload(clusterer._state_document()))
+        assert expected["result"]["base_clusters"][0]["sid"] != sids[0]
+        recovered = IncrementalNEAT.recover(tmp_path, network, config, fsync=False)
+        assert json.loads(encode_state_payload(recovered._state_document())) == expected
+
+    @pytest.mark.parametrize("recipe, batches", [
+        ("DENSE", 2), ("SPREAD", 2), ("STREAM", 80),
+    ])
+    def test_benchmark_states_recover_unchanged(self, tmp_path, recipe, batches):
+        """States the benchmark workloads build are never refused."""
+        network, trajectories, eps = recipe_input(recipe)
+        config = NEATConfig(eps=eps)
+        clusterer = IncrementalNEAT(network, config)
+        clusterer.enable_persistence(tmp_path, fsync=False)
+        size = -(-len(trajectories) // batches)
+        for start in range(0, len(trajectories), size):
+            clusterer.add_batch(trajectories[start:start + size])
+        clusterer.checkpoint()
+        expected = json.loads(encode_state_payload(clusterer._state_document()))
+        recovered = IncrementalNEAT.recover(tmp_path, network, config, fsync=False)
+        assert recovered.batch_count == batches
+        assert json.loads(encode_state_payload(recovered._state_document())) == expected
 
 
 def _fragment(result: dict) -> dict:

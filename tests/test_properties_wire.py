@@ -13,6 +13,13 @@ payload: nothing in between, and nothing silently dropped or invented.
 The frame codec gets the matching byte-level properties: a truncated
 frame raises :class:`TornFrame`, and any flipped byte is a typed error.
 
+The ``distances`` payloads are fuzzed from both ends too: a request with
+one column perturbed (or missing, or not base64, or a bad cutoff) gets a
+typed ``ok: false`` / ``protocol`` reply or exactly the kernels' answer
+for the groups its columns spell; a reply with one column perturbed makes
+the client raise :class:`~repro.errors.MalformedPayload` or decodes to
+results that re-encode to exactly that reply.
+
 The hello handshake is fuzzed from both ends: any JSON value sent as the
 hello gets a typed ``ok: false`` reply or completes the handshake, and
 the server goes on serving; any JSON value (or non-JSON bytes) returned
@@ -29,11 +36,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from array import array
+
 from repro.core.base_cluster import BaseCluster
 from repro.core.model import Location, TFragment, Trajectory
 from repro.distributed.transport import (
     PROTOCOL_VERSION,
     FrameError,
+    RemoteDataNode,
+    ShardNode,
     ShardNodeServer,
     TornFrame,
     TransportClient,
@@ -50,11 +61,18 @@ from repro.distributed.transport import (
 from repro.errors import MalformedPayload, TrajectoryError, TransportError
 from repro.roadnet.builder import line_network
 
+from conftest import ReplyClient, distances_payload
+
 #: Item type of every packed column, both schemas.
 TYPECODES = {
     "trids": "q", "counts": "I", "sids": "q", "nodes": "q",
     "xs": "d", "ys": "d", "ts": "d", "cluster_sids": "q",
     "fragment_counts": "I", "fragment_trids": "q", "location_counts": "I",
+}
+#: Item type of every ``distances`` column, request and reply.
+DISTANCE_TYPECODES = {
+    "sources": "q", "counts": "q", "targets": "q",
+    "distances": "d", "expanded": "q",
 }
 
 coordinates = st.floats(-1e6, 1e6, allow_nan=False)
@@ -107,10 +125,12 @@ def _item(typecode: str):
 
 
 @st.composite
-def perturbed(draw, payload: dict[str, str]) -> dict[str, str]:
+def perturbed(
+    draw, payload: dict[str, str], typecodes: dict[str, str] = TYPECODES
+) -> dict[str, str]:
     """``payload`` with one item of one column changed, added or removed."""
-    column = draw(st.sampled_from(sorted(payload)))
-    typecode = TYPECODES[column]
+    column = draw(st.sampled_from(sorted(typecodes.keys() & payload.keys())))
+    typecode = typecodes[column]
     values = _unpack_array(payload, column, typecode)
     edits = ["insert"] + (["set", "nudge", "delete"] if values else [])
     edit = draw(st.sampled_from(edits))
@@ -198,6 +218,100 @@ class TestFrames:
         in_length = 4 <= offset < 8
         with pytest.raises((FrameError, TornFrame) if in_length else FrameError):
             decode_frame(bytes(frame))
+
+
+#: Groups on the line network (junctions 0..3), distinct targets each,
+#: as the planner emits them.
+groups_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(st.integers(0, 3), max_size=3, unique=True).map(tuple),
+    ),
+    max_size=4,
+)
+cutoffs = st.floats(0.0, 400.0)
+
+
+def _columns(payload: dict, *names: str) -> list[array]:
+    return [_unpack_array(payload, name, DISTANCE_TYPECODES[name]) for name in names]
+
+
+def _answer(graph, groups, cutoff) -> dict:
+    """The reply the shard owes ``groups``: the kernels' own answers."""
+    distances, expanded = array("d"), array("q")
+    for source, group in groups:
+        found, settled = graph.multi_target_distances(source, group, cutoff)
+        distances.extend(found.get(target, float("inf")) for target in group)
+        expanded.append(settled)
+    return {"distances": _pack_array(distances), "expanded": _pack_array(expanded)}
+
+
+@st.composite
+def damaged_requests(draw):
+    payload = distances_payload(draw(groups_strategy), draw(cutoffs))
+    damage = draw(st.sampled_from(["column", "drop", "text", "cutoff"]))
+    if damage == "column":
+        return draw(perturbed(payload, DISTANCE_TYPECODES))
+    name = draw(st.sampled_from(["sources", "counts", "targets"]))
+    if damage == "drop":
+        del payload[name]
+    elif damage == "text":
+        payload[name] = draw(st.text(max_size=6))
+    else:
+        payload["cutoff"] = draw(st.one_of(
+            st.floats(), st.none(), st.booleans(), st.text(max_size=3),
+            st.integers(-5, 5),
+        ))
+    return payload
+
+
+class TestDistancesPayloads:
+    network = line_network(3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_requests())
+    def test_any_request_is_typed_or_exact(self, payload):
+        reply, action = ShardNode(self.network).execute(
+            {"op": "distances", "payload": payload}
+        )
+        assert action == "keep"
+        if not reply["ok"]:
+            assert reply["kind"] == "protocol"
+            return
+        sources, counts, targets = _columns(payload, "sources", "counts", "targets")
+        groups, offset = [], 0
+        for source, count in zip(sources, counts):
+            groups.append((source, tuple(targets[offset:offset + count])))
+            offset += count
+        assert offset == len(targets) and len(counts) == len(sources)
+        assert reply["result"] == _answer(
+            self.network.csr(False), groups, payload["cutoff"]
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups_strategy, cutoffs, st.data())
+    def test_any_reply_is_typed_or_exact(self, groups, cutoff, data):
+        reply = _answer(self.network.csr(False), groups, cutoff)
+        damage = data.draw(st.sampled_from(["column", "drop", "value"]))
+        if damage == "column":
+            reply = data.draw(perturbed(reply, DISTANCE_TYPECODES))
+        elif damage == "drop":
+            del reply[data.draw(st.sampled_from(sorted(reply)))]
+        else:
+            reply = data.draw(json_values)
+        node = RemoteDataNode(0, ReplyClient(reply))
+        try:
+            results = node.finish_distances(node.start_distances(groups, cutoff), groups)
+        except MalformedPayload:
+            return
+        distances, expanded = array("d"), array("q")
+        for (_, group), (found, settled) in zip(groups, results):
+            distances.extend(found.get(target, float("inf")) for target in group)
+            expanded.append(settled)
+        assert len(results) == len(groups)
+        assert reply == {
+            "distances": _pack_array(distances), "expanded": _pack_array(expanded),
+        }
 
 
 json_values = st.recursive(

@@ -190,6 +190,18 @@ class TestQuarantine:
         assert ack["quarantined"] == 1
         assert svc.stats().quarantined_trajectories == 1
 
+    def test_junction_mark_off_its_junction_quarantined(self, line3):
+        # Recovery refuses a state holding such a location, so admission
+        # must keep it out: a sample marked as junction 3 sits elsewhere.
+        svc = NeatService(line3, NEATConfig(min_card=0, eps=500.0))
+        marked = Trajectory(1, (
+            Location(0, 10.0, 0.0, 0.0, node_id=3),
+            Location(1, 150.0, 0.0, 5.0),
+        ))
+        ack = svc.submit([trajectory_through(line3, 0, [0, 1]), marked])
+        assert ack["quarantined"] == 1
+        assert svc.stats().quarantined_trajectories == 1
+
     def test_all_bad_batch_still_rejected_whole(self, line3):
         svc = NeatService(line3, NEATConfig(min_card=0))
         with pytest.raises(TrajectoryError, match="unknown segment"):

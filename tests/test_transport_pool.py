@@ -6,10 +6,10 @@ idle expiry), the handshake-once guarantee of pooled
 server closes a pooled socket between calls, the determinism of
 injected refuse/drop/stall/garble faults on pooled connections (same
 1-based indexes as an unpooled client, no transparent retry of a
-faulted call), the ``batch`` op (ordered replies, one call index per
-frame), the packed columnar wire schema, the shard-side ``distances``
-op against a local engine, byte-identity of a pooled remote-Phase-3
-coordinator run, and the spawn rendezvous timeout error.
+faulted call), the packed columnar wire schema, the shard-side
+``distances`` op (packed group spans) against the local kernels and its
+typed errors, byte-identity of a pooled remote-Phase-3 coordinator run,
+and the spawn rendezvous timeout error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from repro.distributed import (
     spawn_local_shards,
 )
 from repro.distributed.transport import (
+    ShardNode,
     _Connection,
+    _pack_array,
     clusters_from_packed,
     clusters_to_packed,
     trajectories_from_packed,
@@ -45,9 +47,13 @@ from repro.errors import MalformedPayload, TransportError
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultPlan
 from repro.roadnet.io import save_network
-from repro.roadnet.shortest_path import INFINITY, ShortestPathEngine
 
-from conftest import trajectory_through, wire_document
+from conftest import (
+    ReplyClient,
+    distances_payload,
+    trajectory_through,
+    wire_document,
+)
 
 
 @pytest.fixture
@@ -276,52 +282,6 @@ class TestPooledFaultDeterminism:
 
 
 # ----------------------------------------------------------------------
-# The batch op
-# ----------------------------------------------------------------------
-class TestBatch:
-    def test_batch_replies_in_order_over_one_frame(self, shard):
-        telemetry = Telemetry()
-        client = TransportClient(
-            shard.host, shard.port, metrics=telemetry.metrics, pool_size=1
-        )
-        results = client.call_batch(
-            [("ping", None), ("stats", None), ("ping", None)]
-        )
-        client.close()
-        assert results[0] == {"node_id": 0}
-        assert results[2] == {"node_id": 0}
-        assert results[1]["batched_requests"] == 1
-        # One frame on the wire, one connection, three answers.
-        assert results[1]["connections"] == 1
-        metrics = telemetry.metrics
-        assert metrics.value("transport.batched_calls") == 1
-        assert metrics.value("transport.requests") == 1
-
-    def test_batch_consumes_one_fault_index(self, shard):
-        faults = FaultInjector()
-        faults.arm("transport.node0", FaultPlan(refuse_nth=2))
-        client = TransportClient(
-            shard.host, shard.port, faults=faults,
-            fault_operation="transport.node0", pool_size=1,
-        )
-        # Call #1: a whole batch of three rides one clean call index.
-        assert len(client.call_batch([("ping", None)] * 3)) == 3
-        # Call #2: the refuse fires against the batch as a unit.
-        with pytest.raises(TransportError) as excinfo:
-            client.call_batch([("ping", None)] * 3)
-        assert excinfo.value.kind == "refused"
-        client.close()
-
-    def test_batch_item_error_names_the_item(self, shard):
-        client = TransportClient(shard.host, shard.port)
-        with pytest.raises(TransportError) as excinfo:
-            client.call_batch([("ping", None), ("no-such-op", None)])
-        client.close()
-        assert excinfo.value.kind == "protocol"
-        assert "batch item 1" in str(excinfo.value)
-
-
-# ----------------------------------------------------------------------
 # Packed columnar wire schema
 # ----------------------------------------------------------------------
 class TestPackedSchema:
@@ -496,11 +456,7 @@ class TestPackedSchema:
 
     @pytest.mark.parametrize("reply", [{}, {"clusters": []}, None])
     def test_reply_without_packed_clusters_is_typed(self, reply):
-        class _Replies:
-            def finish(self, pending):
-                return reply
-
-        node = RemoteDataNode(0, _Replies())
+        node = RemoteDataNode(0, ReplyClient(reply))
         with pytest.raises(MalformedPayload, match="clusters_packed"):
             node.finish_preprocess(None)
 
@@ -539,22 +495,72 @@ class TestPackedSchema:
 # ----------------------------------------------------------------------
 class TestDistancesOp:
     def test_distances_match_local_engine(self, line3, shard):
-        engine = ShortestPathEngine(line3, directed=False)
-        pairs = [(0, 3), (1, 2), (2, 2)]
-        client = TransportClient(shard.host, shard.port)
-        result = client.call("distances", {"pairs": pairs, "cutoff": 1000.0})
-        client.close()
-        expected = [engine.distance(s, t, cutoff=1000.0) for s, t in pairs]
-        assert result["distances"] == expected
-        assert all(value != INFINITY for value in result["distances"])
+        groups = [(0, (1, 3)), (2, (1,)), (2, (2,))]
+        node = RemoteDataNode(0, TransportClient(shard.host, shard.port))
+        results = node.finish_distances(
+            node.start_distances(groups, 1000.0), groups
+        )
+        node.client.close()
+        graph = line3.csr(False)
+        assert results == [
+            graph.multi_target_distances(source, targets, 1000.0)
+            for source, targets in groups
+        ]
+        assert shard.stats()["distance_groups"] == len(groups)
 
     def test_distance_beyond_cutoff_is_none(self, line3, shard):
         # Nodes 0 and 3 are 300 m apart on the 3-segment line; a 50 m
         # cutoff makes them mutually unreachable for an eps query.
-        client = TransportClient(shard.host, shard.port)
-        result = client.call("distances", {"pairs": [(0, 3)], "cutoff": 50.0})
-        client.close()
-        assert result["distances"] == [None]
+        node = RemoteDataNode(0, TransportClient(shard.host, shard.port))
+        [(found, expanded)] = node.finish_distances(
+            node.start_distances([(0, (3,))], 50.0), [(0, (3,))]
+        )
+        node.client.close()
+        assert found.get(3) is None
+        assert expanded > 0
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.pop("targets"),
+        lambda p: p.update(sources="not base64!"),
+        lambda p: p.update(targets=_pack_array(array("q", [1]))),
+        lambda p: p.update(
+            counts=_pack_array(array("q", [-1, 3])),
+            targets=_pack_array(array("q", [1])),
+        ),
+        lambda p: p.update(sources=_pack_array(array("q", [0, 99]))),
+        lambda p: p.update(cutoff=None),
+        lambda p: p.update(cutoff=-1.0),
+        lambda p: p.update(cutoff=float("inf")),
+        lambda p: p.update(cutoff=True),
+    ], ids=[
+        "missing-column", "not-base64", "counts-disagree", "negative-count",
+        "unknown-junction", "no-cutoff", "negative-cutoff",
+        "infinite-cutoff", "boolean-cutoff",
+    ])
+    def test_malformed_request_is_a_protocol_error(self, line3, damage):
+        payload = distances_payload([(0, (1, 3)), (2, (1,))], 100.0)
+        damage(payload)
+        reply, action = ShardNode(line3).execute(
+            {"op": "distances", "payload": payload}
+        )
+        assert reply["ok"] is False and reply["kind"] == "protocol"
+        assert action == "keep"
+
+    @pytest.mark.parametrize("reply", [
+        {"distances": _pack_array(array("d", [1.0])),
+         "expanded": _pack_array(array("q", [1, 1]))},
+        {"distances": _pack_array(array("d", [1.0, 2.0, 3.0])),
+         "expanded": _pack_array(array("q", [1]))},
+        {"distances": _pack_array(array("d", [1.0, float("nan"), 3.0])),
+         "expanded": _pack_array(array("q", [1, 1]))},
+        {"expanded": _pack_array(array("q", [1, 1]))},
+        None,
+    ], ids=["short-distances", "short-expanded", "nan", "missing", "none"])
+    def test_malformed_reply_is_typed(self, line3, reply):
+        groups = [(0, (1, 3)), (2, (1,))]
+        node = RemoteDataNode(0, ReplyClient(reply))
+        with pytest.raises(MalformedPayload):
+            node.finish_distances(node.start_distances(groups, 100.0), groups)
 
 
 # ----------------------------------------------------------------------
