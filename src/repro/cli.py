@@ -32,6 +32,7 @@ from pathlib import Path
 from .core.config import NEATConfig
 from .core.pipeline import MODES, NEAT
 from .core.serialize import result_to_dict
+from .errors import ConfigError
 from .mobisim.io import load_dataset, save_dataset
 from .obs import Telemetry, configure_logging, get_logger
 from .mobisim.simulator import SimulationConfig, simulate_dataset
@@ -102,18 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "searches (default: one per available CPU; "
                               "1 = serial; results are identical at any "
                               "setting)")
-    cluster.add_argument("--vector-backend",
-                         choices=("auto", "numpy", "python"),
-                         default="auto",
-                         help="batched bound-kernel implementation: numpy "
-                              "when importable (auto, the default), numpy "
-                              "required, or the stdlib loops; output is "
-                              "byte-identical either way")
-    cluster.add_argument("--llb", action="store_true",
-                         help="enable the landmark lower-bound prune tier "
-                              "above the ELB (never changes clusters)")
-    cluster.add_argument("--llb-landmarks", type=int, default=8,
-                         help="landmark count for the LLB tier (default 8)")
     cluster.add_argument("--max-retries", type=int, default=2,
                          help="retries for fallible service-tier operations "
                               "(ingest/refresh/shard dispatch; 0 = try once)")
@@ -353,7 +342,12 @@ def main(argv: list[str] | None = None) -> int:
         "experiment": _cmd_experiment,
         "tune": _cmd_tune,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as error:
+        # A bad knob value or config document: one line, not a traceback.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -449,11 +443,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         config = NEATConfig(
             wq=args.wq, wk=args.wk, wv=args.wv,
             eps=args.eps, min_card=args.min_card, use_elb=not args.no_elb,
-            workers=args.workers, use_llb=args.llb,
-            vector_backend=args.vector_backend,
-            llb_landmarks=max(1, args.llb_landmarks),
-            max_retries=args.max_retries, deadline_s=args.deadline_s,
-            max_pending=args.max_pending,
+            workers=args.workers, max_retries=args.max_retries,
+            deadline_s=args.deadline_s, max_pending=args.max_pending,
             checkpoint_every=max(0, args.checkpoint_every),
         )
     telemetry = Telemetry.create()

@@ -1,35 +1,26 @@
-"""Batched lower-bound kernels for Phase 3 region queries.
+"""Batched Euclidean lower-bound kernel for Phase 3 region queries.
 
-Phase 3's region queries test every flow pair against two cheap lower
-bounds before paying for a network search: the Euclidean lower bound
-(ELB, Section III-C3) and the landmark/ALT lower bound (LLB).  The
-scalar forms live in :mod:`repro.core.refinement`
-(:func:`~repro.core.refinement.euclidean_lower_bound`,
-:func:`~repro.core.refinement.landmark_lower_bound`); this module
-evaluates them for *all* ``n x n`` flow pairs at once over flat
-endpoint arrays — the batched modified-Hausdorff endpoint math — and
-returns a symmetric ``bytearray`` mask where ``mask[i * n + j] == 1``
-means pair ``(i, j)`` is provably farther than ``eps`` and safe to
-prune.
+Phase 3's region queries test every flow pair against the Euclidean
+lower bound (ELB, Section III-C3) before paying for a network search.
+The scalar form is
+:func:`~repro.core.refinement.euclidean_lower_bound`; this module
+evaluates it for *all* ``n x n`` flow pairs at once over flat endpoint
+arrays and returns a symmetric ``bytearray`` mask where
+``mask[i * n + j] == 1`` means pair ``(i, j)`` is provably farther than
+``eps`` and safe to prune.
 
-Two implementations per kernel, selected by the resolved backend
-(:func:`repro.vec.resolve_vector_backend`):
+Two implementations, selected by the resolved backend
+(:func:`repro.vec.resolve_vector_backend`: numpy when importable and not
+disabled by ``REPRO_NO_NUMPY``):
 
-* ``python`` — the scalar functions in a loop; the reference behaviour.
+* ``python`` — the scalar function in a loop; the reference behaviour.
 * ``numpy`` — vectorized, but **decision-identical** by construction:
-
-  - The ELB compares *squared* distances (no per-element ``sqrt``)
-    against ``eps**2`` outside a relative guard band of
-    :data:`GUARD_BAND`; only pairs landing inside the band — where
-    ``hypot``-vs-``sqrt(x*x + y*y)`` rounding could flip a comparison —
-    are re-checked with the exact scalar expression.  Rounding error of
-    either form is ~1e-16 relative; the band is seven orders of
-    magnitude wider.
-  - The LLB uses only subtraction, ``abs``, ``min``/``max`` — exact
-    IEEE-754 operations with no rounding freedom — so its vectorized
-    result is bit-identical to the scalar fold (missing landmark
-    coverage is ``nan``, ignored by ``fmax`` exactly as the scalar code
-    skips uncovered nodes).
+  it compares *squared* distances (no per-element ``sqrt``) against
+  ``eps**2`` outside a relative guard band of :data:`GUARD_BAND`; only
+  pairs landing inside the band — where ``hypot``-vs-``sqrt(x*x + y*y)``
+  rounding could flip a comparison — are re-checked with the exact
+  scalar expression.  Rounding error of either form is ~1e-16 relative;
+  the band is seven orders of magnitude wider.
 
 Either way the mask equals the scalar decisions bit-for-bit, so
 clusters *and* the Figure-7 counters match with or without numpy.
@@ -37,7 +28,6 @@ clusters *and* the Figure-7 counters match with or without numpy.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from ..roadnet.network import RoadNetwork
@@ -120,64 +110,4 @@ def elb_far_mask(
             > eps
         )
         far[i, j] = far[j, i] = exact_far
-    return bytearray(far.astype(np.uint8).tobytes())
-
-
-def llb_far_mask(
-    oracle,
-    flow_list: Sequence,
-    eps: float,
-    backend: str = "python",
-) -> bytearray:
-    """Symmetric mask of flow pairs the landmark lower bound prunes.
-
-    ``mask[i * n + j] == 1`` iff
-    ``landmark_lower_bound(oracle, flow_list[i], flow_list[j]) > eps``.
-    The numpy path is *bit-identical* (not merely decision-identical):
-    the bound composes only exact IEEE operations.
-    """
-    from .refinement import landmark_lower_bound
-
-    n = len(flow_list)
-    mask = bytearray(n * n)
-    if n == 0:
-        return mask
-    numpy = get_numpy() if backend == "numpy" else None
-    if numpy is None:
-        for i in range(n):
-            row = i * n
-            for j in range(i + 1, n):
-                if landmark_lower_bound(oracle, flow_list[i], flow_list[j]) > eps:
-                    mask[row + j] = 1
-                    mask[j * n + i] = 1
-        return mask
-
-    np = numpy
-    endpoints: list[int] = []
-    for flow in flow_list:
-        endpoints.extend(flow.endpoints)
-    # (2n, L) landmark-distance rows; nan marks uncovered nodes.
-    rows = np.array(oracle.landmark_table_rows(endpoints), dtype=np.float64)
-    rows = rows.reshape(n, 2, -1)  # (flow, endpoint, landmark)
-
-    # |d(L, t) - d(L, s)| per endpoint pair per landmark; nan wherever
-    # either side is uncovered.  fmax folds from 0.0 exactly as the
-    # scalar loop starts at best = 0.0 and skips uncovered landmarks
-    # (fmax(x, nan) == x).
-    diff = np.abs(
-        rows[:, :, None, None, :] - rows[None, None, :, :, :]
-    )  # (n, 2, n, 2, L)
-    pair_bound = np.full(diff.shape[:4], 0.0)
-    for k in range(diff.shape[4]):
-        pair_bound = np.fmax(pair_bound, diff[..., k])
-    l11 = pair_bound[:, 0, :, 0]
-    l12 = pair_bound[:, 0, :, 1]
-    l21 = pair_bound[:, 1, :, 0]
-    l22 = pair_bound[:, 1, :, 1]
-    forward = np.maximum(np.minimum(l11, l12), np.minimum(l21, l22))
-    backward = np.maximum(np.minimum(l11, l21), np.minimum(l12, l22))
-    bound = np.maximum(forward, backward)
-
-    far = bound > eps
-    np.fill_diagonal(far, False)
     return bytearray(far.astype(np.uint8).tobytes())

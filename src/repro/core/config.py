@@ -37,7 +37,10 @@ class NEATConfig:
             sets "no minimum cardinality", i.e. 1: every flow belongs to a
             final cluster, singletons included.
         use_elb: Apply the Euclidean-lower-bound filter before shortest
-            path computations in Phase 3 (Section III-C3).
+            path computations in Phase 3 (Section III-C3), the paper's one
+            prune bound.  Its batched kernel uses numpy when importable
+            (:mod:`repro.core.bounds`); clusters and counters are
+            identical either way.
         keep_interior_points: Keep original interior samples inside
             t-fragments.  The paper drops them ("only the first and the
             last point in the original trajectory are kept, together with
@@ -49,26 +52,6 @@ class NEATConfig:
             :func:`~repro.parallel.available_cpus`); ``1`` (the default)
             runs serially.  Results are identical at any setting —
             parallelism only changes wall-clock time.
-        sp_backend: Shortest-path backend of the Phase 3 engine.  Only
-            ``"csr"`` (flat-array Dijkstra) exists; the field stays so
-            committed config documents that pin it still load.
-        sp_oracle: Phase 3 distance-oracle strategy.  Only ``"tiered"``
-            (batched multi-target single-source kernels, one search per
-            distinct endpoint) exists; kept for the same reason.
-        use_llb: Apply the landmark (ALT triangle-inequality) lower
-            bound as a second prune tier above the ELB in Phase 3.
-            Strictly tighter than Euclidean on road graphs; never changes
-            cluster output.  Off by default so the paper's baseline
-            counters stay untouched.
-        vector_backend: Implementation of the batched Phase 3 bound
-            kernels (:mod:`repro.core.bounds`): ``"auto"`` (the default)
-            uses numpy when importable and falls back to the stdlib
-            loops, ``"numpy"`` requires numpy (install the ``perf``
-            extra) and fails fast when absent, ``"python"`` forces the
-            stdlib loops.  Every setting produces byte-identical
-            clusters and counters — only wall-clock time differs.
-        llb_landmarks: Landmark count for the LLB tier (farthest-point
-            sampled; tables are built once per network version).
         max_retries: Retries after the first attempt for fallible service
             tier operations (ingest, refresh, shard dispatch); 0 tries
             exactly once.  See :class:`repro.resilience.RetryPolicy`.
@@ -106,11 +89,6 @@ class NEATConfig:
     use_elb: bool = True
     keep_interior_points: bool = False
     workers: int | None = 1
-    sp_backend: str = "csr"
-    sp_oracle: str = "tiered"
-    use_llb: bool = False
-    vector_backend: str = "auto"
-    llb_landmarks: int = 8
     max_retries: int = 2
     deadline_s: float | None = None
     max_pending: int = 64
@@ -141,24 +119,6 @@ class NEATConfig:
         if self.workers is not None and self.workers < 0:
             raise ConfigError(
                 f"workers must be >= 0 (0/None = one per CPU), got {self.workers}"
-            )
-        for name, value, only in (
-            ("sp_backend", self.sp_backend, "csr"),
-            ("sp_oracle", self.sp_oracle, "tiered"),
-        ):
-            if value != only:
-                raise ConfigError(
-                    f"{name} must be {only!r} (every other setting was "
-                    f"removed), got {value!r}"
-                )
-        if self.vector_backend not in ("auto", "numpy", "python"):
-            raise ConfigError(
-                f"vector_backend must be 'auto', 'numpy' or 'python', "
-                f"got {self.vector_backend!r}"
-            )
-        if self.llb_landmarks < 1:
-            raise ConfigError(
-                f"llb_landmarks must be >= 1, got {self.llb_landmarks}"
             )
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
@@ -201,20 +161,32 @@ class NEATConfig:
     def from_dict(cls, document: dict) -> "NEATConfig":
         """Rebuild a validated config from a :meth:`to_dict` document.
 
-        Unknown keys raise :class:`~repro.errors.ConfigError` (a typo in
-        a tuning grid must fail loudly, not silently no-op); missing keys
-        keep their defaults, so partial documents work too.
+        A config document on disk (tune grids, ``best_config`` files,
+        ``repro cluster --config``) must fail loudly, never load with a
+        field silently ignored or mistyped, so each of these raises
+        :class:`~repro.errors.ConfigError` naming the field:
+
+        * an unknown key: a typo in a tuning grid, or a field an older
+          document still carries that NEATConfig no longer has;
+        * a value of the wrong type: a bool field takes a bool, an int
+          field an int that is not a bool, a float field an int, a float
+          other than NaN (which JSON readers accept and every range check
+          lets through) or ``"inf"``, and an ``X | None`` field also
+          ``null``.
+
+        Missing keys keep their defaults, so partial documents work too.
         """
-        known = {field.name for field in fields(cls)}
-        unknown = sorted(set(document) - known)
+        annotations = {field.name: field.type for field in fields(cls)}
+        unknown = sorted(set(document) - set(annotations))
         if unknown:
-            raise ConfigError(f"unknown config fields: {unknown}")
-        kwargs = {}
-        for key, value in document.items():
-            if value == "inf":
-                value = math.inf
-            kwargs[key] = value
-        return cls(**kwargs)
+            raise ConfigError(
+                f"unknown config fields: {unknown} (misspelled, or retired "
+                f"from NEATConfig)"
+            )
+        return cls(**{
+            key: _typed_value(key, annotations[key], value)
+            for key, value in document.items()
+        })
 
     def with_weights(self, wq: float, wk: float, wv: float) -> "NEATConfig":
         """A copy with different merging-selectivity weights."""
@@ -223,6 +195,26 @@ class NEATConfig:
     def with_eps(self, eps: float) -> "NEATConfig":
         """A copy with a different Phase 3 distance threshold."""
         return replace(self, eps=eps)
+
+
+#: What each annotation accepts, for :func:`_typed_value`'s errors.
+_EXPECTED = {"bool": "a bool", "int": "an int", "float": 'a number or "inf"'}
+
+
+def _typed_value(name: str, annotation: str, value):
+    """``value`` checked against a field annotation such as ``"int | None"``."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional:
+        return None
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "int" and number and isinstance(value, int):
+        return value
+    if kind == "float" and (number and not math.isnan(value) or value == "inf"):
+        return float(value)
+    expected = _EXPECTED[kind] + (" or null" if optional else "")
+    raise ConfigError(f"config field {name!r} must be {expected}, got {value!r}")
 
 
 #: Application presets discussed under Definition 10 in the paper.

@@ -36,12 +36,7 @@ class RefinementStats:
 
     Attributes:
         pair_checks: Candidate (flow, flow) pairs examined in region queries.
-        elb_pruned: Pairs discarded by the Euclidean lower bound alone.
-        llb_evaluations: ELB survivors also checked against the landmark
-            (ALT triangle-inequality) lower bound — 0 unless the LLB tier
-            is enabled (``config.use_llb``).
-        llb_pruned: Pairs the landmark lower bound discarded that the
-            Euclidean bound could not.
+        elb_pruned: Pairs discarded by the Euclidean lower bound.
         hausdorff_evaluations: Pairs for which the exact network-distance
             Hausdorff value was computed.
         shortest_path_computations: Dijkstra searches actually executed
@@ -50,8 +45,6 @@ class RefinementStats:
 
     pair_checks: int = 0
     elb_pruned: int = 0
-    llb_evaluations: int = 0
-    llb_pruned: int = 0
     hausdorff_evaluations: int = 0
     shortest_path_computations: int = 0
 
@@ -144,89 +137,56 @@ def euclidean_lower_bound(
     )
 
 
-def landmark_lower_bound(
-    oracle, flow_a: FlowCluster, flow_b: FlowCluster
-) -> float:
-    """Landmark (ALT) lower bound on the modified Hausdorff distance.
-
-    Composes the per-endpoint-pair triangle-inequality bounds of a
-    :class:`~repro.roadnet.landmarks.LandmarkOracle` through the same
-    max-min structure as Equation 5: each ``lower_bound(s, t)`` is
-    admissible for ``d_N(s, t)``, and max/min are monotone, so the
-    composed value never exceeds the true flow distance — when it
-    exceeds ``ε`` the pair is safely pruned.  Symmetric in its flow
-    arguments, so region queries and prefetch enumeration agree.
-    """
-    a1, a2 = flow_a.endpoints
-    b1, b2 = flow_b.endpoints
-    l11 = oracle.lower_bound(a1, b1)
-    l12 = oracle.lower_bound(a1, b2)
-    l21 = oracle.lower_bound(a2, b1)
-    l22 = oracle.lower_bound(a2, b2)
-    forward = max(min(l11, l12), min(l21, l22))
-    backward = max(min(l11, l21), min(l12, l22))
-    return max(forward, backward)
-
-
 def plan_phase3(
     network: RoadNetwork,
     flows: Sequence[FlowCluster],
     config: NEATConfig,
     engine: ShortestPathEngine,
-) -> tuple[bytearray | None, bytearray | None, list[tuple[int, tuple[int, ...]]]]:
-    """Phase 3's one plan: ``(elb_mask, llb_mask, groups)``.
+) -> tuple[bytearray | None, list[tuple[int, tuple[int, ...]]]]:
+    """Phase 3's one plan: ``(elb_mask, groups)``.
 
     The one place Phase 3's prune decisions are made and its searches
     chosen, once per refinement, on the caller: region queries index the
-    masks, and every executor (inline, pool or shards) runs whole groups
+    mask, and every executor (inline, pool or shards) runs whole groups
     of the plan, so the pairs they search cannot drift apart.
 
-    ``mask[i * n + j] == 1`` means flow pair ``(i, j)`` is provably
-    farther than ``eps`` (``None`` where a tier is off; see
-    :func:`repro.core.bounds.elb_far_mask` and
-    :func:`~repro.core.bounds.llb_far_mask`, numpy-accelerated when
-    available with identical decisions).  Landmark tables are
-    engine-memoized per network version and, like the Euclidean bound,
-    run outside the Figure-7 counters.  ``groups`` are the ``(source,
-    targets)`` searches of
+    ``elb_mask[i * n + j] == 1`` means flow pair ``(i, j)`` is provably
+    farther than ``eps`` by the Euclidean lower bound (``None`` when
+    ``use_elb`` is off; see :func:`repro.core.bounds.elb_far_mask`,
+    numpy-accelerated when available with identical decisions); it runs
+    no search, so it adds nothing to the search counters.  ``groups`` are
+    the ``(source, targets)`` searches of
     :func:`~repro.roadnet.shortest_path.plan_source_groups` over the
     surviving endpoint pairs the engine cannot answer yet; an engine
     with an accelerated oracle answers point queries itself, so its plan
     has none.
     """
     from ..vec import resolve_vector_backend
-    from .bounds import elb_far_mask, llb_far_mask
+    from .bounds import elb_far_mask
 
-    backend = resolve_vector_backend(config.vector_backend)
     elb_mask = (
-        elb_far_mask(network, flows, config.eps, backend)
+        elb_far_mask(network, flows, config.eps, resolve_vector_backend())
         if config.use_elb
         else None
     )
-    llb_mask = None
-    if config.use_llb and not engine.directed:
-        llb = engine.landmark_bounds(config.llb_landmarks)
-        llb_mask = llb_far_mask(llb, flows, config.eps, backend)
     groups = [] if engine.oracle is not None else plan_source_groups(
         engine.unknown_pairs(
-            _surviving_endpoint_pairs(flows, elb_mask, llb_mask),
-            cutoff=config.eps,
+            _surviving_endpoint_pairs(flows, elb_mask), cutoff=config.eps
         )
     )
-    return elb_mask, llb_mask, groups
+    return elb_mask, groups
 
 
 def _surviving_endpoint_pairs(
-    flow_list: Sequence[FlowCluster],
-    elb_mask: bytearray | None,
-    llb_mask: bytearray | None,
+    flow_list: Sequence[FlowCluster], elb_mask: bytearray | None
 ) -> Iterator[tuple[int, int]]:
     """Endpoint node pairs the region queries will ask the engine for.
 
-    Walks unordered flow pairs that survive the prune tiers (exactly the
-    pairs whose modified Hausdorff distance Phase 3 must evaluate) and
-    expands each into its endpoint-junction pairs, in deterministic
-    order.  :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.unknown_pairs`
+    Walks unordered flow pairs that survive the Euclidean lower bound
+    (exactly the pairs whose modified Hausdorff distance Phase 3 must
+    evaluate) and expands each into its endpoint-junction pairs, in
+    deterministic order.
+    :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.unknown_pairs`
     drops identities and repeats.
     """
     n = len(flow_list)
@@ -235,8 +195,6 @@ def _surviving_endpoint_pairs(
         row = i * n
         for j in range(i + 1, n):
             if elb_mask is not None and elb_mask[row + j]:
-                continue
-            if llb_mask is not None and llb_mask[row + j]:
                 continue
             b1, b2 = flow_list[j].endpoints
             yield a1, b1
@@ -258,8 +216,7 @@ def refine_flow_clusters(
     """Run Phase 3: merge eps-close flows into final trajectory clusters.
 
     Region queries run their shortest-path searches bounded by ``eps``:
-    the lower-bound tiers (Euclidean, optionally landmark) already prove
-    a pruned pair is far apart, and for the survivors a bounded search
+    the Euclidean lower bound already proves a pruned pair is far apart, and for the survivors a bounded search
     answering "farther than eps" settles only the eps-ball instead of
     the whole graph.  :func:`plan_phase3` plans the searches once; the
     surviving endpoint pairs are then answered up front by its grouped
@@ -306,9 +263,9 @@ def refine_flow_clusters(
     eps = config.eps
     sp_before = engine.computations
 
-    # Plan once, up front: region queries index the plan's masks, and the
+    # Plan once, up front: region queries index the plan's mask, and the
     # grouped searches answer every distance they will need.
-    elb_mask, llb_mask, groups = plan_phase3(network, flow_list, config, engine)
+    elb_mask, groups = plan_phase3(network, flow_list, config, engine)
     engine.prefetch_grouped(
         groups, cutoff=eps,
         executor=executor or partial(engine.search_groups, workers=workers),
@@ -321,15 +278,9 @@ def refine_flow_clusters(
             if other == index:
                 continue
             stats.pair_checks += 1
-            if elb_mask is not None:
-                if elb_mask[row + other]:
-                    stats.elb_pruned += 1
-                    continue
-            if llb_mask is not None:
-                stats.llb_evaluations += 1
-                if llb_mask[row + other]:
-                    stats.llb_pruned += 1
-                    continue
+            if elb_mask is not None and elb_mask[row + other]:
+                stats.elb_pruned += 1
+                continue
             stats.hausdorff_evaluations += 1
             distance = flow_distance(
                 engine, flow_list[index], flow_list[other], cutoff=eps
@@ -374,14 +325,6 @@ def _publish_stats(metrics, stats: RefinementStats, cluster_count: int) -> None:
     metrics.counter(
         "neat.phase3.elb_pruned", "Pairs discarded by the Euclidean lower bound"
     ).inc(stats.elb_pruned)
-    metrics.counter(
-        "neat.phase3.llb_evaluations",
-        "ELB survivors checked against the landmark lower bound",
-    ).inc(stats.llb_evaluations)
-    metrics.counter(
-        "neat.phase3.llb_pruned",
-        "Pairs discarded by the landmark lower bound after surviving the ELB",
-    ).inc(stats.llb_pruned)
     metrics.counter(
         "neat.phase3.hausdorff_evaluations",
         "Pairs whose exact modified Hausdorff distance was computed",

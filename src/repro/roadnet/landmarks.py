@@ -1,12 +1,12 @@
-"""ALT (A*, Landmarks, Triangle inequality) distance acceleration.
+"""ALT (A*, Landmarks, Triangle inequality) point distances.
 
-Phase 3 of NEAT repeatedly computes node-pair network distances.  The
-paper prunes *whole computations* with the Euclidean lower bound; this
-module additionally accelerates the computations that remain: distances
-to a few precomputed *landmark* nodes give, via the triangle inequality,
-a lower bound ``|d(L, t) - d(L, s)| <= d(s, t)`` that is usually much
-tighter than the Euclidean bound on road networks, and drives a goal-
-directed A* (Goldberg & Harrelson, SODA'05).
+Distances to a few precomputed *landmark* nodes give, via the triangle
+inequality, a lower bound ``|d(L, t) - d(L, s)| <= d(s, t)`` that drives
+a goal-directed A* (Goldberg & Harrelson, SODA'05).  Phase 3 prunes with
+the paper's Euclidean lower bound alone; a :class:`LandmarkOracle` is
+only an alternative point-distance backend (``ShortestPathEngine``'s
+``oracle`` hook, used by the reference tests and the distance-backend
+ablation bench).
 
 Landmarks are chosen by farthest-point sampling, the standard heuristic.
 """
@@ -14,7 +14,6 @@ Landmarks are chosen by farthest-point sampling, the standard heuristic.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
 
 from ..errors import UnknownNodeError
 from .network import RoadNetwork
@@ -41,8 +40,9 @@ class LandmarkOracle:
             raise ValueError("landmark_count must be >= 1")
         self._network = network
         #: Mutation version of the network the tables were swept on;
-        #: consumers memoizing an oracle (the engine's LLB tier) compare
-        #: it against ``network.version`` to detect staleness.
+        #: consumers memoizing an oracle
+        #: (``ShortestPathEngine.landmark_bounds``) compare it against
+        #: ``network.version`` to detect staleness.
         self.network_version = network.version
         node_ids = network.node_ids()
         if not node_ids:
@@ -95,21 +95,6 @@ class LandmarkOracle:
             if bound > best:
                 best = bound
         return best
-
-    def landmark_table_rows(self, nodes: Sequence[int]) -> list[list[float]]:
-        """Per node, its distance to every landmark (``nan`` = uncovered).
-
-        The batch view of the tables behind :meth:`lower_bound`, used by
-        the vectorized bound kernels: row ``i`` lists ``d(L, nodes[i])``
-        for each landmark ``L`` in :attr:`landmarks` order, with
-        ``math.nan`` marking nodes a landmark's sweep never reached.
-        """
-        import math
-
-        return [
-            [table.get(node, math.nan) for table in self._tables]
-            for node in nodes
-        ]
 
     def is_current(self) -> bool:
         """Whether the tables still describe the network (no mutations)."""

@@ -184,8 +184,8 @@ class ShortestPathEngine:
     _prepaid: set[tuple[int, int]] = field(default_factory=set, repr=False)
     # Keys absorbed from a persisted cache; hits on them count warm_hits.
     _warm: set[tuple[int, int]] = field(default_factory=set, repr=False)
-    # (network version, landmark count, LandmarkOracle) memo for the LLB
-    # prune tier; rebuilt when the network mutates.
+    # (network version, landmark count, LandmarkOracle) memo of
+    # landmark_bounds; rebuilt when the network mutates.
     _landmarks: tuple | None = field(default=None, repr=False, compare=False)
     _metric_computations: object | None = field(
         default=None, repr=False, compare=False
@@ -437,7 +437,7 @@ class ShortestPathEngine:
         )
 
     # ------------------------------------------------------------------
-    # Landmark lower bounds (the LLB prune tier)
+    # Landmark lower bounds
     # ------------------------------------------------------------------
     def landmark_bounds(self, count: int = 8):
         """A memoized :class:`~repro.roadnet.landmarks.LandmarkOracle`.
@@ -445,8 +445,12 @@ class ShortestPathEngine:
         Built lazily on first use and rebuilt when the network mutates
         (the memo is keyed on ``network.version``) or when a larger
         ``count`` is requested.  The landmark sweeps run outside this
-        engine's counters — lower bounds are free at query time, which is
-        what makes them a prune *tier* rather than a search.
+        engine's counters.
+
+        Nothing in the pipeline calls it since Phase 3 lost its landmark
+        (LLB) prune tier.  It stays, with its ``_landmarks`` memo, only
+        because the benchmark's layer tracer (``neatbench/layers.py``)
+        names it; it goes once a benchmark change drops that trace.
 
         Raises:
             ValueError: on a directed engine (landmark tables are

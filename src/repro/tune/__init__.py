@@ -1,8 +1,8 @@
 """Auto-tuning harness: dataset passports, workload profiles, grid sweeps.
 
 NEAT exposes a wide knob surface (the SF weights ``wq/wk/wv``, ``beta``,
-``minCard``, ``eps``, the oracle tier, landmark count, vector backend,
-worker count, ...) and nothing in the bench suite tunes it systematically.
+``minCard``, ``eps``, the ELB switch, worker count, ...) and nothing in
+the bench suite tunes it systematically.
 This package turns the benchmark harness into an optimization loop:
 
 * :mod:`repro.tune.passport` — per-dataset/per-network sanity statistics

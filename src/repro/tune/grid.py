@@ -8,7 +8,6 @@ The committed grid document has three sections::
       weights:            # (wq, wk, wv) triples applied together
         - [0.5, 0.5, 0.0]
       eps_scale: [0.5, 1.0, 2.0]   # multiplies the region's base eps
-      use_llb: [false, true]
     objective:
       minimize: total_s   # any numeric field of a sweep row
       guardrails:         # min_<field> / max_<field> bounds; a config

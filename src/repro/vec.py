@@ -1,16 +1,16 @@
 """Optional numpy acceleration with a byte-identical stdlib fallback.
 
-The hot Phase 3 bound kernels (:mod:`repro.core.bounds`) are written
+The hot Phase 3 bound kernel (:mod:`repro.core.bounds`) is written
 twice: an array-native numpy fast path and a pure-Python loop.  This
-module owns the choice between them:
+module owns the choice between them, which is automatic — there is no
+config knob:
 
 * numpy is an *optional* dependency (the ``perf`` extra) — nothing in
-  the package imports it unconditionally;
+  the package imports it unconditionally, and Phase 3 uses it whenever
+  it is importable;
 * the environment variable :data:`NO_NUMPY_ENV` forces the stdlib path
   even when numpy is installed (CI runs a leg with it set to keep the
-  fallback honest);
-* the ``vector_backend`` config knob (``auto`` / ``numpy`` / ``python``)
-  resolves here, failing fast when ``numpy`` is requested but absent.
+  fallback honest).
 
 The contract both paths satisfy: *decision-identical* results.  Kernels
 may use vectorized arithmetic internally, but any comparison whose
@@ -29,7 +29,7 @@ from .errors import ConfigError
 #: Set (to any non-empty value) to pretend numpy is not installed.
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
-#: Accepted ``vector_backend`` settings.
+#: Settings :func:`resolve_vector_backend` accepts.
 VECTOR_BACKENDS = ("auto", "numpy", "python")
 
 
@@ -49,16 +49,16 @@ def get_numpy():
 
 
 def resolve_vector_backend(setting: str = "auto") -> str:
-    """Resolve a ``vector_backend`` setting to ``"numpy"`` or ``"python"``.
+    """Resolve a backend setting to ``"numpy"`` or ``"python"``.
 
-    ``auto`` picks numpy when importable (and not disabled), else the
-    stdlib loops.  Requesting ``numpy`` explicitly raises
-    :class:`~repro.errors.ConfigError` when it cannot be honored, rather
-    than silently degrading.
+    ``auto`` (what Phase 3 asks for) picks numpy when importable and not
+    disabled, else the stdlib loops.  Requesting ``numpy`` explicitly
+    raises :class:`~repro.errors.ConfigError` when it cannot be honored,
+    rather than silently degrading.
     """
     if setting not in VECTOR_BACKENDS:
         raise ConfigError(
-            f"vector_backend must be one of {VECTOR_BACKENDS}, got {setting!r}"
+            f"vector backend must be one of {VECTOR_BACKENDS}, got {setting!r}"
         )
     if setting == "python":
         return "python"
@@ -67,7 +67,7 @@ def resolve_vector_backend(setting: str = "auto") -> str:
         return "numpy"
     if setting == "numpy":
         raise ConfigError(
-            "vector_backend='numpy' but numpy is not importable "
+            "vector backend 'numpy' requested but numpy is not importable "
             f"(or disabled via {NO_NUMPY_ENV}); install the 'perf' extra"
         )
     return "python"

@@ -112,6 +112,20 @@ class TestCluster:
         assert document["flows"]
         assert document["network_name"]
 
+    def test_bad_config_is_one_error_line(
+        self, saved_network, saved_traces, tmp_path, capsys
+    ):
+        # A document with a retired field fails loudly, naming the key.
+        document = tmp_path / "old.json"
+        document.write_text(json.dumps({"config": {"eps": 400.0, "use_llb": False}}))
+        code = main([
+            "cluster", "--network", str(saved_network),
+            "--traces", str(saved_traces), "--config", str(document),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "use_llb" in err
+
     def test_metrics_out_writes_snapshot(
         self, saved_network, saved_traces, tmp_path, capsys
     ):

@@ -15,6 +15,7 @@ from repro.core.config import (
     PRESET_TRAFFIC_MONITORING,
 )
 from repro.errors import ConfigError
+from repro.tune.sweep import best_config_to_neat
 
 
 class TestValidation:
@@ -76,3 +77,64 @@ class TestPresets:
     )
     def test_preset_weights_match_paper(self, preset, weights):
         assert (preset.wq, preset.wk, preset.wv) == pytest.approx(weights)
+
+
+#: Keys NEATConfig dropped, with the value old documents carried.
+RETIRED_KEYS = {
+    "use_llb": False,
+    "llb_landmarks": 8,
+    "sp_backend": "csr",
+    "sp_oracle": "tiered",
+    "vector_backend": "auto",
+}
+
+
+class TestFromDict:
+    """Config documents on disk fail loudly, naming the offending field."""
+
+    @pytest.mark.parametrize(
+        "document,field",
+        [
+            ({"eps": "400"}, "eps"),
+            ({"beta": None}, "beta"),
+            ({"use_elb": "no"}, "use_elb"),
+            ({"use_elb": 1}, "use_elb"),
+            ({"min_pts": 1.5}, "min_pts"),
+            ({"min_pts": True}, "min_pts"),
+            ({"min_card": "inf"}, "min_card"),
+            ({"workers": 2.0}, "workers"),
+            ({"wq": False, "wk": 0.5, "wv": 0.5}, "wq"),
+            ({"deadline_s": "1"}, "deadline_s"),
+            ({"eps": math.nan}, "eps"),
+            ({"beta": math.nan}, "beta"),
+        ],
+    )
+    def test_wrong_types_rejected(self, document, field):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            NEATConfig.from_dict(document)
+
+    def test_accepted_types(self):
+        config = NEATConfig.from_dict({
+            "eps": 400, "beta": "inf", "min_card": None, "min_pts": 2,
+            "use_elb": False, "workers": None, "deadline_s": 1.5,
+            "slo_query_p99_s": None,
+        })
+        assert config.eps == 400.0 and isinstance(config.eps, float)
+        assert math.isinf(config.beta)
+        assert (config.min_card, config.min_pts) == (None, 2)
+        assert config.use_elb is False and config.workers is None
+        assert config.deadline_s == 1.5
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_keys_rejected(self, key):
+        # An old document must fail loudly, never load with a field
+        # silently ignored: both the library path and the best_config
+        # path behind `repro cluster --config` refuse it.
+        document = {**NEATConfig().to_dict(), key: RETIRED_KEYS[key]}
+        with pytest.raises(ConfigError, match=key):
+            NEATConfig.from_dict(document)
+        with pytest.raises(ConfigError, match=key):
+            best_config_to_neat({"schema": "neat.best_config/1",
+                                 "config": document})
+        with pytest.raises(ConfigError, match=key):
+            best_config_to_neat(document)

@@ -1,4 +1,4 @@
-"""Tiered distance oracle: multi-target kernels, grouping, LLB pruning.
+"""Tiered distance oracle: multi-target kernels, grouping, ELB pruning.
 
 The batched oracle is a pure acceleration: every test here pins either
 exact numeric equivalence with the per-pair searches and the
@@ -19,11 +19,10 @@ from repro.core.serialize import result_to_dict
 from repro.roadnet import (
     INFINITY,
     ShortestPathEngine,
-    network_from_edges,
     plan_source_groups,
 )
 
-from conftest import pairwise_reference, trajectory_through
+from conftest import pairwise_reference
 from reference_sp import (
     dijkstra_distance,
     dijkstra_distance_counted,
@@ -263,7 +262,7 @@ def oracle_smoke():
 
 
 class TestOracleTierEquivalence:
-    """Per-pair, tiered and tiered+LLB oracles give identical clusters."""
+    """Per-pair and tiered oracles give identical clusters."""
 
     @staticmethod
     def _tiered_matches_pairwise(network, dataset, eps):
@@ -280,34 +279,17 @@ class TestOracleTierEquivalence:
         # only the executed-search count may (and must) shrink.
         assert tiered.pair_checks == pairwise.pair_checks
         assert tiered.elb_pruned == pairwise.elb_pruned
-        assert tiered.llb_pruned == pairwise.llb_pruned
         assert tiered.hausdorff_evaluations == pairwise.hausdorff_evaluations
         assert (
             tiered.shortest_path_computations
             < pairwise.shortest_path_computations
         )
 
-    @staticmethod
-    def _llb_never_changes_clusters(network, dataset, eps):
-        results = {}
-        for use_llb in (False, True):
-            neat = NEAT(
-                network, NEATConfig(eps=eps, min_card=0, use_llb=use_llb)
-            )
-            results[use_llb] = neat.run_opt(list(dataset))
-        assert _digest(results[True]) == _digest(results[False])
-
     def test_tiered_matches_pairwise_clusters_and_stats(self, small_workload):
         self._tiered_matches_pairwise(*small_workload, 1000.0)
 
-    def test_llb_never_changes_clusters(self, small_workload):
-        self._llb_never_changes_clusters(*small_workload, 1000.0)
-
     def test_oracle_smoke_tiered_matches_pairwise(self, oracle_smoke):
         self._tiered_matches_pairwise(*oracle_smoke)
-
-    def test_oracle_smoke_llb_never_changes_clusters(self, oracle_smoke):
-        self._llb_never_changes_clusters(*oracle_smoke)
 
 
 class TestOracleSmokeCounters:
@@ -336,60 +318,6 @@ class TestOracleSmokeCounters:
     def test_repeated_run_gives_identical_counters(self, oracle_smoke):
         first = self._tiered_run(*oracle_smoke)
         assert self._tiered_run(*oracle_smoke) == first
-
-
-def detour_network():
-    """A U-shaped corridor: tips ~50 m apart by air, 850 m by road."""
-    points = [
-        (0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0), (400.0, 0.0),
-        (400.0, 50.0),
-        (300.0, 50.0), (200.0, 50.0), (100.0, 50.0), (0.0, 50.0),
-    ]
-    edges = [(i, i + 1) for i in range(len(points) - 1)]
-    return network_from_edges(points, edges, name="detour-u")
-
-
-class TestLandmarkPruneTier:
-    def test_llb_prunes_what_elb_cannot(self):
-        network = detour_network()
-        # Flows at the two tips: Euclidean gap ~50-112 m survives an
-        # eps=200 ELB check, but every road route is >= 750 m, which the
-        # tip-favoring landmark sweep proves without a single Dijkstra.
-        trajectories = [
-            trajectory_through(network, trid, [0]) for trid in range(3)
-        ] + [
-            trajectory_through(network, trid, [8]) for trid in range(3, 6)
-        ]
-        config = NEATConfig(eps=200.0, min_card=0, use_llb=True)
-        neat = NEAT(network, config)
-        result = neat.run_opt(trajectories)
-        stats = result.refinement_stats
-        assert stats.llb_evaluations > 0
-        assert stats.llb_pruned > 0
-        assert stats.elb_pruned == 0  # the Euclidean tier was blind here
-        # Pruned pairs never reach the exact-distance stage.
-        assert stats.hausdorff_evaluations < stats.pair_checks
-
-        baseline = NEAT(network, NEATConfig(eps=200.0, min_card=0))
-        unpruned = baseline.run_opt(trajectories)
-        assert _digest(result) == _digest(unpruned)
-        assert unpruned.refinement_stats.llb_evaluations == 0
-
-    def test_llb_saves_searches(self):
-        network = detour_network()
-        trajectories = [
-            trajectory_through(network, trid, [0]) for trid in range(3)
-        ] + [
-            trajectory_through(network, trid, [8]) for trid in range(3, 6)
-        ]
-        engines = {}
-        for use_llb in (False, True):
-            neat = NEAT(
-                network, NEATConfig(eps=200.0, min_card=0, use_llb=use_llb)
-            )
-            neat.run_opt(trajectories)
-            engines[use_llb] = neat.engine
-        assert engines[True].computations < engines[False].computations
 
 
 class TestLandmarkBoundsMemo:

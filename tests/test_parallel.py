@@ -41,17 +41,6 @@ class TestWorkerResolution:
         with pytest.raises(ConfigError):
             NEATConfig(workers=-2)
 
-    def test_config_validates_backend(self):
-        for field, removed in (("sp_backend", "dict"), ("sp_oracle", "pairwise")):
-            with pytest.raises(ConfigError, match="removed"):
-                NEATConfig(**{field: removed})
-            with pytest.raises(ConfigError, match="removed"):
-                NEATConfig.from_dict({field: removed})
-        with pytest.raises(ConfigError):
-            NEATConfig(sp_backend="quantum")
-        # The surviving values still load, as committed configs pin them.
-        assert NEATConfig.from_dict({"sp_backend": "csr", "sp_oracle": "tiered"})
-
 
 @pytest.fixture(scope="module")
 def workload():

@@ -56,7 +56,7 @@ TINY_GRID = {
     "base": {"min_card": 0, "min_pts": 1},
     "grid": {
         "eps_scale": [0.5, 1.0],
-        "use_llb": [False, True],
+        "use_elb": [False, True],
     },
     "objective": {
         "minimize": "total_s",
@@ -181,7 +181,7 @@ class TestGridLoading:
 
     def test_load_committed_grid_validates(self):
         document = validate_grid(load_grid(REPO / "tune_grid.yaml"))
-        assert set(document["grid"]) == {"weights", "eps_scale", "use_llb"}
+        assert set(document["grid"]) == {"weights", "eps_scale"}
         assert document["objective"]["minimize"] == "total_s"
 
     def test_minimal_parser_subset(self):
@@ -306,20 +306,23 @@ class TestSweep:
         assert report["grid_configs"] == 4
         assert len(report["rows"]) == 4
         assert report["best_index"] is not None
-        # Grid order: eps_scale before use_llb, use_llb fastest.
+        # Grid order: eps_scale before use_elb, use_elb fastest.
         assert [row["axis.eps_scale"] for row in report["rows"]] == [
             0.5, 0.5, 1.0, 1.0,
         ]
-        assert [row["axis.use_llb"] for row in report["rows"]] == [
+        assert [row["axis.use_elb"] for row in report["rows"]] == [
             False, True, False, True,
         ]
 
-    def test_llb_never_changes_clusters(self, report):
-        # The LLB axis is a pure acceleration: rows that differ only in
-        # use_llb must carry identical digests.
-        digests = [row["digest"] for row in report["rows"]]
-        assert digests[0] == digests[1]
-        assert digests[2] == digests[3]
+    def test_elb_never_changes_clusters(self, report):
+        # The ELB only prunes pairs it proves farther than eps apart (a
+        # metamorphic property of Phase 3): rows that differ only in
+        # use_elb must carry identical digests, while the ELB-on rows
+        # settle no more searches.
+        rows = report["rows"]
+        for off, on in ((rows[0], rows[1]), (rows[2], rows[3])):
+            assert off["digest"] == on["digest"]
+            assert on["sp_computations"] <= off["sp_computations"]
 
     def test_best_config_reproduces_byte_identically(self, report):
         best = report["best_config"]
@@ -357,4 +360,4 @@ class TestCommittedArtifacts:
     def test_committed_grid_expands(self):
         document = validate_grid(load_grid(REPO / "tune_grid.yaml"))
         overlays = expand_grid(document["grid"])
-        assert len(overlays) == 18  # 3 weights x 3 eps_scale x 2 use_llb
+        assert len(overlays) == 9  # 3 weights x 3 eps_scale
