@@ -105,15 +105,27 @@ def form_base_clusters(
         trajectories: The trajectories to fragment.
         keep_interior_points: Keep non-junction samples inside fragments.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, the ``neat.phase1.*`` counters are published.
+            when given, the ``neat.phase1.*`` counters are published,
+            including this call's deltas of the network's crossing-table
+            searches and lookups.
 
     Returns the density-descending base cluster list (head = dense-core).
     Runs with the cyclic GC paused (:mod:`repro.gcpause`): fragmentation
     allocates two location samples per junction crossing.
     """
+    table = network.crossing_table()
+    searches, lookups = table.searches, table.lookups
     fragments = fragment_all(network, trajectories, keep_interior_points)
     clusters = group_fragments(fragments)
     if metrics is not None:
+        metrics.counter(
+            "neat.phase1.crossing_searches",
+            "Shortest-route searches run to fill the crossing table",
+        ).inc(table.searches - searches)
+        metrics.counter(
+            "neat.phase1.crossing_lookups",
+            "Junction-crossing requests answered by the crossing table",
+        ).inc(table.lookups - lookups)
         metrics.counter(
             "neat.phase1.trajectories", "Trajectories fragmented in Phase 1"
         ).inc(len(trajectories))

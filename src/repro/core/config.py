@@ -97,6 +97,13 @@ class NEATConfig:
     slo_query_p99_s: float | None = None
 
     def __post_init__(self) -> None:
+        # Types first, so every range check below compares numbers and a
+        # direct construction is held to the same rules as from_dict.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            object.__setattr__(
+                self, field.name, _typed_value(field.name, field.type, value)
+            )
         for name, weight in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv)):
             if weight < 0.0:
                 raise ConfigError(f"{name} must be non-negative, got {weight}")
@@ -163,30 +170,20 @@ class NEATConfig:
 
         A config document on disk (tune grids, ``best_config`` files,
         ``repro cluster --config``) must fail loudly, never load with a
-        field silently ignored or mistyped, so each of these raises
-        :class:`~repro.errors.ConfigError` naming the field:
-
-        * an unknown key: a typo in a tuning grid, or a field an older
-          document still carries that NEATConfig no longer has;
-        * a value of the wrong type: a bool field takes a bool, an int
-          field an int that is not a bool, a float field an int, a float
-          other than NaN (which JSON readers accept and every range check
-          lets through) or ``"inf"``, and an ``X | None`` field also
-          ``null``.
-
-        Missing keys keep their defaults, so partial documents work too.
+        field silently ignored or mistyped.  An unknown key — a typo in a
+        tuning grid, or a field an older document still carries that
+        NEATConfig no longer has — raises
+        :class:`~repro.errors.ConfigError` naming it; value types are
+        checked by the constructor (see :func:`_typed_value`).  Missing
+        keys keep their defaults, so partial documents work too.
         """
-        annotations = {field.name: field.type for field in fields(cls)}
-        unknown = sorted(set(document) - set(annotations))
+        unknown = sorted(set(document) - {field.name for field in fields(cls)})
         if unknown:
             raise ConfigError(
                 f"unknown config fields: {unknown} (misspelled, or retired "
                 f"from NEATConfig)"
             )
-        return cls(**{
-            key: _typed_value(key, annotations[key], value)
-            for key, value in document.items()
-        })
+        return cls(**document)
 
     def with_weights(self, wq: float, wk: float, wv: float) -> "NEATConfig":
         """A copy with different merging-selectivity weights."""
@@ -202,7 +199,14 @@ _EXPECTED = {"bool": "a bool", "int": "an int", "float": 'a number or "inf"'}
 
 
 def _typed_value(name: str, annotation: str, value):
-    """``value`` checked against a field annotation such as ``"int | None"``."""
+    """``value`` checked against a field annotation such as ``"int | None"``.
+
+    A bool field takes a bool, an int field an int that is not a bool, a
+    float field an int, a float other than NaN (which JSON readers accept
+    and every range check lets through) or ``"inf"`` — returned as a
+    float — and an ``X | None`` field also ``None``.  Anything else raises
+    :class:`~repro.errors.ConfigError` naming the field.
+    """
     kind, _, optional = annotation.partition(" | ")
     if value is None and optional:
         return None

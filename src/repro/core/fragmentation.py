@@ -3,11 +3,12 @@
 Implements Section III-A1 of the paper.  Every pair of consecutive samples
 is inspected: when their road segments differ, the junction crossings
 between them are recovered (directly for contiguous segments, via
-path inference otherwise) and the crossed junctions are inserted as new,
-specially-marked points.  The augmented trajectory is then split at those
-junction points into :class:`~repro.core.model.TFragment` objects, each of
-which lies entirely on one road segment and keeps the source trajectory's
-identity, route and direction.
+path inference otherwise; either way once per segment pair and network)
+and the crossed junctions are inserted as new, specially-marked points.
+The augmented trajectory is then split at those junction points into
+:class:`~repro.core.model.TFragment` objects, each of which lies entirely
+on one road segment and keeps the source trajectory's identity, route and
+direction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable
 
 from ..errors import UnknownSegmentError
 from ..gcpause import gc_paused
-from ..mapmatch.path_inference import infer_crossings
+from ..mapmatch.path_inference import crossing_row
 from ..roadnet.network import RoadNetwork
 from .model import Location, TFragment, Trajectory
 
@@ -42,18 +43,19 @@ def insert_junction_points(
         nxt = locations[i + 1]
         if current.sid == nxt.sid:
             continue
-        crossings = infer_crossings(network, current.sid, nxt.sid)
+        row = crossing_row(network, current.sid, nxt.sid)
+        count = len(row) // 2
         leaving_sid = current.sid
-        for j, crossing in enumerate(crossings):
-            point = network.node_point(crossing.node_id)
-            t = current.t + (nxt.t - current.t) * (j + 1) / (len(crossings) + 1)
+        for j in range(count):
+            node_id = row[2 * j]
+            sid = row[2 * j + 1]
+            point = network.node_point(node_id)
+            t = current.t + (nxt.t - current.t) * (j + 1) / (count + 1)
             augmented.append(
-                Location(leaving_sid, point.x, point.y, t, node_id=crossing.node_id)
+                Location(leaving_sid, point.x, point.y, t, node_id=node_id)
             )
-            augmented.append(
-                Location(crossing.sid, point.x, point.y, t, node_id=crossing.node_id)
-            )
-            leaving_sid = crossing.sid
+            augmented.append(Location(sid, point.x, point.y, t, node_id=node_id))
+            leaving_sid = sid
     return augmented
 
 

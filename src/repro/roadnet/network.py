@@ -56,10 +56,12 @@ class RoadNetwork:
         self._incidence: dict[int, list[int]] = {}
         self._next_node_id = 0
         self._next_sid = 0
-        # Mutation counter; CSR snapshots are cached against it so a
-        # stale snapshot is never served after add_junction/add_segment.
+        # Mutation counter; CSR snapshots and the crossing table are cached
+        # against it so stale derived data is never served after
+        # add_junction/add_segment.
         self._version = 0
         self._csr_cache: dict[bool, tuple[int, object]] = {}
+        self._crossings: CrossingTable | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -226,9 +228,8 @@ class RoadNetwork:
         """``I(e_i, e_j)``: the junction shared by two segments, else ``None``.
 
         When two segments share both endpoints (parallel roads), the lower
-        node id is returned for determinism.  Allocation-free: Phase 1
-        calls this once per pair of consecutive samples on different
-        segments.
+        node id is returned for determinism.  Allocation-free: route
+        checks call it once per consecutive pair of segments.
         """
         seg_a = self.segment(sid_a)
         seg_b = self.segment(sid_b)
@@ -337,6 +338,19 @@ class RoadNetwork:
         self._csr_cache[directed] = (self._version, graph)
         return graph
 
+    def crossing_table(self) -> "CrossingTable":
+        """The cached :class:`CrossingTable` of this network version.
+
+        Created empty on first use and memoized until the network is
+        mutated, like :meth:`csr`.  Phase 1's crossing inference
+        (:func:`~repro.mapmatch.path_inference.infer_crossings`) fills it,
+        one entry per ordered segment pair it is asked about.
+        """
+        table = self._crossings
+        if table is None or table.version != self._version:
+            table = self._crossings = CrossingTable(self._version)
+        return table
+
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
@@ -370,10 +384,12 @@ class RoadNetwork:
     # Dunder conveniences
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # CSR snapshots are derived data; drop them so pickling a network
-        # (e.g. shipping it to a worker process) stays lean.
+        # CSR snapshots and the crossing table are derived data; drop them
+        # so pickling a network (e.g. shipping it to a worker process)
+        # stays lean.
         state = self.__dict__.copy()
         state["_csr_cache"] = {}
+        state["_crossings"] = None
         return state
 
     def __contains__(self, sid: int) -> bool:
@@ -400,3 +416,36 @@ class RoadNetwork:
     def segment_map(self) -> Mapping[int, RoadSegment]:
         """Read-only view of the segment table."""
         return dict(self._segments)
+
+
+class CrossingTable:
+    """Memoized junction crossings between ordered segment pairs.
+
+    Which junctions an object crosses between two matched segments is a
+    property of the map, not of the trajectory, so Phase 1 infers each
+    ordered ``(sid_from, sid_to)`` pair once per network version.  An
+    entry is a flat all-int tuple ``(node, sid, node, sid, ...)`` — the
+    crossed junction and the segment entered there, in travel order — or
+    ``None`` when the segments are not connected.  All-int tuples are not
+    tracked by the cyclic GC, and their ints are shared with the CSR
+    snapshot and the samples rather than boxed anew.  The table holds at
+    most one entry per distinct ordered pair the network has been asked
+    about.
+
+    Attributes:
+        version: The network version the entries were computed against.
+        entries: ``(sid_from, sid_to)`` -> flat crossing tuple or ``None``.
+        searches: Shortest-route searches run to fill missing entries.
+        lookups: Crossing requests answered (hits and misses).
+    """
+
+    __slots__ = ("version", "entries", "searches", "lookups")
+
+    def __init__(self, version: int) -> None:
+        self.version = version
+        self.entries: dict[tuple[int, int], tuple[int, ...] | None] = {}
+        self.searches = 0
+        self.lookups = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)

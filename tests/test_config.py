@@ -50,6 +50,28 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NEATConfig(min_pts=0)
 
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"use_elb": "no"}, "use_elb"),
+            ({"min_pts": 1.5}, "min_pts"),
+            ({"min_card": math.inf}, "min_card"),
+            ({"eps": "400"}, "eps"),
+        ],
+    )
+    def test_direct_construction_checks_types(self, kwargs, field):
+        # The constructor holds the same type rules as from_dict: a
+        # truthy "no" must not leave ELB on, an infinite min_card must not
+        # silently drop every flow, and a string eps is a ConfigError
+        # naming the field, not a bare TypeError from a range check.
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            NEATConfig(**kwargs)
+
+    def test_direct_construction_converts_numbers(self):
+        config = NEATConfig(eps=400, beta="inf")
+        assert config.eps == 400.0 and isinstance(config.eps, float)
+        assert math.isinf(config.beta)
+
 
 class TestCopies:
     def test_with_weights(self):
@@ -58,6 +80,10 @@ class TestCopies:
 
     def test_with_eps(self):
         assert NEATConfig().with_eps(123.0).eps == 123.0
+
+    def test_copies_check_types(self):
+        with pytest.raises(ConfigError, match="'eps'"):
+            NEATConfig().with_eps("123")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
