@@ -1,13 +1,13 @@
-"""Batched Euclidean lower-bound kernel for Phase 3 region queries.
+"""Batched Euclidean lower-bound kernel for Phase 3's neighbour graph.
 
-Phase 3's region queries test every flow pair against the Euclidean
-lower bound (ELB, Section III-C3) before paying for a network search.
-The scalar form is
+Phase 3 tests every flow pair against the Euclidean lower bound (ELB,
+Section III-C3) before paying for a network search.  The scalar form is
 :func:`~repro.core.refinement.euclidean_lower_bound`; this module
-evaluates it for *all* ``n x n`` flow pairs at once over flat endpoint
-arrays and returns a symmetric ``bytearray`` mask where
-``mask[i * n + j] == 1`` means pair ``(i, j)`` is provably farther than
-``eps`` and safe to prune.
+evaluates it for the rows of the flows from ``start`` on against all
+``n`` flows at once, over flat endpoint arrays, and returns a
+``bytearray`` mask where ``mask[(j - start) * n + i] == 1`` means pair
+``(i, j)`` is provably farther than ``eps`` and safe to prune
+(``start=0``: the full symmetric ``n x n`` mask).
 
 Two implementations, selected by the resolved backend
 (:func:`repro.vec.resolve_vector_backend`: numpy when importable and not
@@ -62,28 +62,33 @@ def elb_far_mask(
     flow_list: Sequence,
     eps: float,
     backend: str = "python",
+    start: int = 0,
 ) -> bytearray:
-    """Symmetric mask of flow pairs the Euclidean lower bound prunes.
+    """Mask of the pairs of flows ``start..n-1`` the Euclidean lower bound prunes.
 
-    ``mask[i * n + j] == 1`` iff
+    Row ``j - start`` covers flow ``j`` against every flow:
+    ``mask[(j - start) * n + i] == 1`` iff
     ``euclidean_lower_bound(network, flow_list[i], flow_list[j]) > eps``
-    — bit-for-bit the scalar decision, whichever backend runs.  The
-    diagonal is always 0.
+    — bit-for-bit the scalar decision, whichever backend runs.  Flow
+    ``j``'s own entry is always 0, and the rows are the corresponding
+    rows of the full ``start=0`` mask.  Each unordered pair is decided
+    once.
     """
     from .refinement import euclidean_lower_bound
 
     n = len(flow_list)
-    mask = bytearray(n * n)
-    if n == 0:
+    mask = bytearray((n - start) * n)
+    if n == start:
         return mask
     numpy = get_numpy() if backend == "numpy" else None
     if numpy is None:
-        for i in range(n):
-            row = i * n
-            for j in range(i + 1, n):
+        for j in range(start, n):
+            row = (j - start) * n
+            for i in range(j):
                 if euclidean_lower_bound(network, flow_list[i], flow_list[j]) > eps:
-                    mask[row + j] = 1
-                    mask[j * n + i] = 1
+                    mask[row + i] = 1
+                    if i >= start:
+                        mask[(i - start) * n + j] = 1
         return mask
 
     np = numpy
@@ -91,23 +96,27 @@ def elb_far_mask(
     ax = np.array([x1, x2], dtype=np.float64)  # (2, n): endpoint, flow
     ay = np.array([y1, y2], dtype=np.float64)
 
-    # Squared distance between endpoint p of flow i and endpoint q of
-    # flow j, minimized over the four (p, q) combinations — the squared
-    # form of the scalar min-of-four hypot.
-    dx = ax[:, None, :, None] - ax[None, :, None, :]  # (2, 2, n, n)
-    dy = ay[:, None, :, None] - ay[None, :, None, :]
-    min_sq = np.min(dx * dx + dy * dy, axis=(0, 1))   # (n, n)
+    # Squared distance between endpoint p of new flow j and endpoint q
+    # of flow i, minimized over the four (p, q) combinations — the
+    # squared form of the scalar min-of-four hypot.
+    dx = ax[:, None, start:, None] - ax[None, :, None, :]  # (2, 2, n - start, n)
+    dy = ay[:, None, start:, None] - ay[None, :, None, :]
+    min_sq = np.min(dx * dx + dy * dy, axis=(0, 1))       # (n - start, n)
 
     eps_sq = eps * eps
     far = min_sq > eps_sq * (1.0 + GUARD_BAND)
     uncertain = ~far & (min_sq > eps_sq * (1.0 - GUARD_BAND))
-    np.fill_diagonal(far, False)
-    np.fill_diagonal(uncertain, False)
-    for i, j in zip(*np.nonzero(np.triu(uncertain))):
-        # In-band: settle with the exact scalar expression.
-        exact_far = (
-            euclidean_lower_bound(network, flow_list[int(i)], flow_list[int(j)])
-            > eps
-        )
-        far[i, j] = far[j, i] = exact_far
+    rows = np.arange(start, n)
+    own = (rows - start, rows)
+    far[own] = False
+    uncertain[own] = False
+    # In-band: settle each pair (i, j), i < j, with the exact scalar
+    # expression; a pair of two new flows sits in both their rows.
+    below = np.arange(n)[None, :] < rows[:, None]
+    for r, i in zip(*np.nonzero(uncertain & below)):
+        i, j = int(i), start + int(r)
+        exact_far = euclidean_lower_bound(network, flow_list[i], flow_list[j]) > eps
+        far[r, i] = exact_far
+        if i >= start:
+            far[i - start, j] = exact_far
     return bytearray(far.astype(np.uint8).tobytes())

@@ -8,9 +8,13 @@ the available flow clusters to produce compact clustering results."
 :class:`IncrementalNEAT` implements that loop.  Each ``add_batch`` runs
 Phases 1-2 on the newly arrived trajectories only, appends the resulting
 flows to the retained flow pool, and re-refines the pool with the adapted
-DBSCAN — reusing one memoized shortest-path engine across batches, so the
-network distances Phase 3 needs are increasingly cache hits (the warm
-server behaviour the paper's NEAT service assumes).
+DBSCAN.  The pool's eps-neighbour graph is kept across batches (flows
+only append, so no decided pair can change), and each refresh decides
+only the pairs involving a new flow before DBSCAN reruns over the graph
+(incremental DBSCAN for insertions, Ester et al., VLDB 1998): clusters
+are exactly a full refine's, at the cost of the new pairs.  One memoized
+shortest-path engine serves every batch (the warm server behaviour the
+paper's NEAT service assumes).
 
 Trajectory ids must be unique across batches; the class offsets them
 automatically when asked.
@@ -71,7 +75,14 @@ class BatchResult:
         new_flows: Flows formed from this batch alone (post-``minCard``).
         new_noise_flows: This batch's flows filtered by ``minCard``.
         clusters: The refreshed global clustering over all retained flows.
-        refinement_stats: Phase 3 instrumentation for this refresh.
+        refinement_stats: Phase 3 instrumentation for this refresh.  It
+            counts only the pairs this refresh decided (those involving
+            a new flow); the neighbour graph keeps the older ones, so
+            over a stream the per-refresh ``pair_checks``,
+            ``elb_pruned`` and ``hausdorff_evaluations`` sum to what one
+            :func:`~repro.core.refinement.refine_flow_clusters` over the
+            final pool reports.  The first refresh after a recovery
+            rebuilds the graph, so it counts every pair once more.
     """
 
     batch_index: int
@@ -116,6 +127,9 @@ class IncrementalNEAT:
         self._flows: list[FlowCluster] = []
         self._noise_flows: list[FlowCluster] = []
         self._clusters: list[TrajectoryCluster] = []
+        # The eps-neighbour rows of the retained flows (Phase 3's graph):
+        # rows only append, in step with _flows.
+        self._neighbours: list[list[int]] = []
         self._batches = 0
         self._seen_trids: set[int] = set()
         self._persist: CheckpointManager | None = None
@@ -198,6 +212,7 @@ class IncrementalNEAT:
             list(self._clusters),
             set(self._seen_trids),
             self._batches,
+            [len(row) for row in self._neighbours],
         )
         self._seen_trids.update(tr.trid for tr in batch)
 
@@ -231,6 +246,7 @@ class IncrementalNEAT:
                     self._clusters = refine_flow_clusters(
                         self.network, self._flows, self.config,
                         engine=self.engine, stats=stats, metrics=metrics,
+                        neighbours=self._neighbours,
                     )
 
                 # Journal the batch *inside* the rollback scope: if the
@@ -247,7 +263,12 @@ class IncrementalNEAT:
                 self._clusters,
                 self._seen_trids,
                 self._batches,
+                row_lengths,
             ) = rollback
+            # The graph only grows, so cutting each row back undoes it.
+            del self._neighbours[len(row_lengths):]
+            for row, length in zip(self._neighbours, row_lengths):
+                del row[length:]
             if metrics is not None:
                 metrics.inc(
                     "incremental.rolled_back_batches",
@@ -676,6 +697,9 @@ class IncrementalNEAT:
         self._flows = list(result.flows)
         self._noise_flows = list(result.noise_flows)
         self._clusters = list(result.clusters)
+        # The document carries no neighbour graph: the next refresh
+        # rebuilds it once from the restored flows.
+        self._neighbours = []
         self._seen_trids = set(seen_trids)
         self._batches = watermark
         # The served view must pass the check every read applies, and the

@@ -15,6 +15,10 @@ Implements Section III-C of the paper:
 
 Instrumentation counters record how many pairs the ELB pruned and how many
 Dijkstra searches actually ran, which is exactly what Figure 7 plots.
+
+DBSCAN runs over the flows' eps-neighbour graph, built pair by pair and
+extendable in place, so an online caller whose flows only append decides
+only the pairs a batch adds (:func:`refine_flow_clusters`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class RefinementStats:
     """Phase 3 instrumentation (drives the Figure 7 reproduction).
 
     Attributes:
-        pair_checks: Candidate (flow, flow) pairs examined in region queries.
+        pair_checks: Candidate ordered (flow, flow) pairs examined for the
+            eps-neighbour graph (two per unordered pair decided).
         elb_pruned: Pairs discarded by the Euclidean lower bound.
         hausdorff_evaluations: Pairs for which the exact network-distance
             Hausdorff value was computed.
@@ -142,20 +147,25 @@ def plan_phase3(
     flows: Sequence[FlowCluster],
     config: NEATConfig,
     engine: ShortestPathEngine,
+    start: int = 0,
 ) -> tuple[bytearray | None, list[tuple[int, tuple[int, ...]]]]:
-    """Phase 3's one plan: ``(elb_mask, groups)``.
+    """Phase 3's one plan for the pairs new since ``start``: ``(elb_rows, groups)``.
 
     The one place Phase 3's prune decisions are made and its searches
-    chosen, once per refinement, on the caller: region queries index the
-    mask, and every executor (inline, pool or shards) runs whole groups
-    of the plan, so the pairs they search cannot drift apart.
+    chosen, once per refinement, on the caller: the neighbour-graph
+    builder indexes the mask, and every executor (inline, pool or
+    shards) runs whole groups of the plan, so the pairs they search
+    cannot drift apart.  Flows before ``start`` already have their
+    neighbour rows, so only pairs ``(i, j)`` with ``i < j`` and
+    ``j >= start`` are planned (``start=0``: every pair).
 
-    ``elb_mask[i * n + j] == 1`` means flow pair ``(i, j)`` is provably
-    farther than ``eps`` by the Euclidean lower bound (``None`` when
-    ``use_elb`` is off; see :func:`repro.core.bounds.elb_far_mask`,
-    numpy-accelerated when available with identical decisions); it runs
-    no search, so it adds nothing to the search counters.  ``groups`` are
-    the ``(source, targets)`` searches of
+    ``elb_rows[(j - start) * n + i] == 1`` means flow pair ``(i, j)`` is
+    provably farther than ``eps`` by the Euclidean lower bound, one row
+    per new flow ``j`` (``None`` when ``use_elb`` is off; see
+    :func:`repro.core.bounds.elb_far_mask`, numpy-accelerated when
+    available with identical decisions); it runs no search, so it adds
+    nothing to the search counters.  ``groups`` are the
+    ``(source, targets)`` searches of
     :func:`~repro.roadnet.shortest_path.plan_source_groups` over the
     surviving endpoint pairs the engine cannot answer yet; an engine
     with an accelerated oracle answers point queries itself, so its plan
@@ -164,37 +174,37 @@ def plan_phase3(
     from ..vec import resolve_vector_backend
     from .bounds import elb_far_mask
 
-    elb_mask = (
-        elb_far_mask(network, flows, config.eps, resolve_vector_backend())
+    elb_rows = (
+        elb_far_mask(network, flows, config.eps, resolve_vector_backend(), start)
         if config.use_elb
         else None
     )
     groups = [] if engine.oracle is not None else plan_source_groups(
         engine.unknown_pairs(
-            _surviving_endpoint_pairs(flows, elb_mask), cutoff=config.eps
+            _surviving_endpoint_pairs(flows, elb_rows, start), cutoff=config.eps
         )
     )
-    return elb_mask, groups
+    return elb_rows, groups
 
 
 def _surviving_endpoint_pairs(
-    flow_list: Sequence[FlowCluster], elb_mask: bytearray | None
+    flow_list: Sequence[FlowCluster], elb_rows: bytearray | None, start: int
 ) -> Iterator[tuple[int, int]]:
-    """Endpoint node pairs the region queries will ask the engine for.
+    """Endpoint node pairs the neighbour-graph builder will ask the engine for.
 
-    Walks unordered flow pairs that survive the Euclidean lower bound
-    (exactly the pairs whose modified Hausdorff distance Phase 3 must
-    evaluate) and expands each into its endpoint-junction pairs, in
-    deterministic order.
+    Walks the unordered new flow pairs ``(i, j)``, ``i < j``,
+    ``j >= start``, that survive the Euclidean lower bound (exactly the
+    pairs whose modified Hausdorff distance Phase 3 must evaluate) and
+    expands each into its endpoint-junction pairs, in deterministic
+    order.
     :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.unknown_pairs`
     drops identities and repeats.
     """
     n = len(flow_list)
     for i in range(n):
         a1, a2 = flow_list[i].endpoints
-        row = i * n
-        for j in range(i + 1, n):
-            if elb_mask is not None and elb_mask[row + j]:
+        for j in range(max(i + 1, start), n):
+            if elb_rows is not None and elb_rows[(j - start) * n + i]:
                 continue
             b1, b2 = flow_list[j].endpoints
             yield a1, b1
@@ -212,17 +222,29 @@ def refine_flow_clusters(
     metrics=None,
     workers: int | None = None,
     executor: Callable | None = None,
+    neighbours: list[list[int]] | None = None,
 ) -> list[TrajectoryCluster]:
     """Run Phase 3: merge eps-close flows into final trajectory clusters.
 
-    Region queries run their shortest-path searches bounded by ``eps``:
-    the Euclidean lower bound already proves a pruned pair is far apart, and for the survivors a bounded search
-    answering "farther than eps" settles only the eps-ball instead of
-    the whole graph.  :func:`plan_phase3` plans the searches once; the
-    surviving endpoint pairs are then answered up front by its grouped
-    multi-target kernels, inline, in worker processes or on shard nodes
-    — cluster output and every determinism counter are identical
-    whichever executor ran them.
+    Phase 3 is DBSCAN over the flows' eps-neighbour graph.  The graph's
+    rows for a prefix of ``flows`` may be handed in (``neighbours``);
+    only the pairs involving a flow past that prefix are decided, each
+    unordered pair once (the modified Hausdorff distance and the ELB
+    are symmetric), and the rows are extended in place.  This is the
+    incremental DBSCAN of Ester et al. (VLDB 1998) for insertions: a
+    caller whose flows only append, like
+    :class:`~repro.core.incremental.IncrementalNEAT`, pays each batch
+    only for the new pairs, and the batch pipeline is the same code
+    started from an empty graph.
+
+    Distances are computed bounded by ``eps``: the Euclidean lower
+    bound already proves a pruned pair is far apart, and for the
+    survivors a bounded search answering "farther than eps" settles only
+    the eps-ball instead of the whole graph.  :func:`plan_phase3` plans
+    the searches once; the surviving endpoint pairs are then answered up
+    front by its grouped multi-target kernels, inline, in worker
+    processes or on shard nodes — cluster output and every determinism
+    counter are identical whichever executor ran them.
 
     Args:
         network: The road network.
@@ -230,7 +252,11 @@ def refine_flow_clusters(
         config: NEAT parameters (``eps``, ``min_pts``, ``use_elb``).
         engine: Optional shared shortest-path engine (undirected); a fresh
             memoizing engine is created when omitted.
-        stats: Optional stats collector, filled in place.
+        stats: Optional stats collector, filled in place.  It counts
+            ordered pairs, two per unordered pair decided by this call,
+            so a refine from an empty graph reports ``n * (n - 1)``
+            pair checks, and the calls over a growing pool sum to what
+            one refine of the final pool reports.
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when given, the ``neat.phase3.*`` counters are published from
             the collected stats when refinement finishes.
@@ -240,6 +266,10 @@ def refine_flow_clusters(
             plan's grouped searches elsewhere (the coordinator's shard
             executor); see
             :meth:`~repro.roadnet.shortest_path.ShortestPathEngine.prefetch_grouped`.
+        neighbours: The eps-neighbour rows of ``flows[:len(neighbours)]``
+            (ascending flow indices, ``self`` excluded), as an earlier
+            call over those flows left them; extended in place to one
+            row per flow.  ``None`` starts from an empty graph.
 
     Returns:
         Final clusters ordered by discovery (the first cluster is seeded by
@@ -254,8 +284,13 @@ def refine_flow_clusters(
         stats = RefinementStats()
     if workers is None:
         workers = config.workers
+    if neighbours is None:
+        neighbours = []
 
     flow_list = list(flows)
+    start = len(neighbours)
+    if start > len(flow_list):
+        raise ValueError(f"{start} neighbour rows for {len(flow_list)} flows")
     if not flow_list:
         _publish_stats(metrics, stats, cluster_count=0)
         return []
@@ -263,39 +298,36 @@ def refine_flow_clusters(
     eps = config.eps
     sp_before = engine.computations
 
-    # Plan once, up front: region queries index the plan's mask, and the
-    # grouped searches answer every distance they will need.
-    elb_mask, groups = plan_phase3(network, flow_list, config, engine)
+    # Plan once, up front: the graph builder indexes the plan's mask,
+    # and the grouped searches answer every distance it will need.
+    elb_rows, groups = plan_phase3(network, flow_list, config, engine, start)
     engine.prefetch_grouped(
         groups, cutoff=eps,
         executor=executor or partial(engine.search_groups, workers=workers),
     )
 
-    def region_query(index: int) -> list[int]:
-        found = []
-        row = index * len(flow_list)
-        for other in range(len(flow_list)):
-            if other == index:
+    # Decide each new pair once; a neighbour joins both rows, and since
+    # j only grows every row stays ascending (the order a region query
+    # over all flows would list it in).
+    n = len(flow_list)
+    for j in range(start, n):
+        row = []
+        neighbours.append(row)
+        offset = (j - start) * n
+        for i in range(j):
+            stats.pair_checks += 2
+            if elb_rows is not None and elb_rows[offset + i]:
+                stats.elb_pruned += 2
                 continue
-            stats.pair_checks += 1
-            if elb_mask is not None and elb_mask[row + other]:
-                stats.elb_pruned += 1
-                continue
-            stats.hausdorff_evaluations += 1
-            distance = flow_distance(
-                engine, flow_list[index], flow_list[other], cutoff=eps
-            )
-            if distance <= eps:
-                found.append(other)
-        return found
+            stats.hausdorff_evaluations += 2
+            if flow_distance(engine, flow_list[i], flow_list[j], cutoff=eps) <= eps:
+                neighbours[i].append(j)
+                row.append(i)
 
     # "The density-based clustering ... always starts each round with the
     # flow cluster whose representative route is the longest" (III-C2).
-    order = sorted(
-        range(len(flow_list)),
-        key=lambda i: (-flow_list[i].route_length, i),
-    )
-    labels = dbscan(len(flow_list), region_query, config.min_pts, order=order)
+    order = sorted(range(n), key=lambda i: (-flow_list[i].route_length, i))
+    labels = dbscan(n, neighbours.__getitem__, config.min_pts, order=order)
 
     clusters = []
     for cluster_id, indices in enumerate(clusters_from_labels(labels)):
@@ -306,7 +338,7 @@ def refine_flow_clusters(
     # minimum cardinality, but when a caller raises min_pts we still return
     # each leftover flow as its own singleton cluster to stay lossless.
     clustered = {i for indices in clusters_from_labels(labels) for i in indices}
-    for index in range(len(flow_list)):
+    for index in range(n):
         if index not in clustered:
             clusters.append(TrajectoryCluster(len(clusters), [flow_list[index]]))
 
@@ -320,7 +352,8 @@ def _publish_stats(metrics, stats: RefinementStats, cluster_count: int) -> None:
     if metrics is None:
         return
     metrics.counter(
-        "neat.phase3.pair_checks", "Candidate flow pairs examined in region queries"
+        "neat.phase3.pair_checks",
+        "Ordered flow pairs decided for the eps-neighbour graph",
     ).inc(stats.pair_checks)
     metrics.counter(
         "neat.phase3.elb_pruned", "Pairs discarded by the Euclidean lower bound"

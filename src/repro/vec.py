@@ -29,9 +29,6 @@ from .errors import ConfigError
 #: Set (to any non-empty value) to pretend numpy is not installed.
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
-#: Settings :func:`resolve_vector_backend` accepts.
-VECTOR_BACKENDS = ("auto", "numpy", "python")
-
 
 def get_numpy():
     """The numpy module, or ``None`` when absent or disabled.
@@ -49,25 +46,13 @@ def get_numpy():
 
 
 def resolve_vector_backend(setting: str = "auto") -> str:
-    """Resolve a backend setting to ``"numpy"`` or ``"python"``.
+    """The backend Phase 3's bound kernel runs: ``"numpy"`` or ``"python"``.
 
-    ``auto`` (what Phase 3 asks for) picks numpy when importable and not
-    disabled, else the stdlib loops.  Requesting ``numpy`` explicitly
-    raises :class:`~repro.errors.ConfigError` when it cannot be honored,
-    rather than silently degrading.
+    numpy when importable and not disabled via :data:`NO_NUMPY_ENV`,
+    else the stdlib loops.  ``"auto"`` is the only setting; any other
+    raises :class:`~repro.errors.ConfigError` (both paths decide alike,
+    so there is nothing to choose).
     """
-    if setting not in VECTOR_BACKENDS:
-        raise ConfigError(
-            f"vector backend must be one of {VECTOR_BACKENDS}, got {setting!r}"
-        )
-    if setting == "python":
-        return "python"
-    numpy = get_numpy()
-    if numpy is not None:
-        return "numpy"
-    if setting == "numpy":
-        raise ConfigError(
-            "vector backend 'numpy' requested but numpy is not importable "
-            f"(or disabled via {NO_NUMPY_ENV}); install the 'perf' extra"
-        )
-    return "python"
+    if setting != "auto":
+        raise ConfigError(f"vector backend must be 'auto', got {setting!r}")
+    return "python" if get_numpy() is None else "numpy"

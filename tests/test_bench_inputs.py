@@ -10,6 +10,11 @@ The base-cluster digests pin what Phase 1 makes of those inputs: the
 sid, trid and every location (junction points included) of every
 fragment of every base cluster, in order.  Any change to fragmentation
 or crossing inference has to reproduce them exactly.
+
+The refinement stats pin Phase 3's counters on the batch recipes: the
+pairs it checks, prunes and evaluates, and the searches it runs.  A
+change to how Phase 3 builds its neighbour graph or plans its searches
+has to keep them.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ if str(ROOT) not in sys.path:
 
 from neatbench import workloads  # noqa: E402
 from neatbench.inputs import network_for, trips  # noqa: E402
+from repro.core import NEAT, NEATConfig  # noqa: E402
 from repro.core.base_cluster import form_base_clusters  # noqa: E402
+from repro.core.refinement import RefinementStats  # noqa: E402
 
 PINNED = {
     "DENSE": "c58f4768d27ab40cc1b3756df67de47a0411f780e4c703588ec7fa1de65c4032",
@@ -38,6 +45,12 @@ BASE_CLUSTERS = {
     "DENSE": "39e6d7c79b5b5a9fd18f257c6ebf1a9d2444c6f0e3d81e26bf1d4d15bf62d1b7",
     "SPREAD": "f3d170886c5aaa64a6bd99bd2abd1a476331dd8771f5cee69b2eca1d4743eb86",
     "STREAM": "a368004409f4b6075c1dcaabb7a4b454edc873c26b8897bd1b0b8fe445e719f2",
+}
+#: ``RefinementStats(pair_checks, elb_pruned, hausdorff_evaluations,
+#: shortest_path_computations)`` of opt-NEAT at the recipe's eps.
+REFINEMENT_STATS = {
+    "DENSE": RefinementStats(110, 4, 106, 18),
+    "SPREAD": RefinementStats(5112, 872, 4240, 137),
 }
 
 
@@ -102,6 +115,15 @@ def test_seed7_base_clusters_are_pinned(recipe, seed7_trips):
     # A warm crossing table answers every pair from memory, identically.
     warm = form_base_clusters(network, trajectories)
     assert base_clusters_digest(warm) == BASE_CLUSTERS[recipe]
+
+
+@pytest.mark.parametrize("recipe", sorted(REFINEMENT_STATS))
+def test_seed7_refinement_stats_are_pinned(recipe, seed7_trips):
+    spec, trajectories = seed7_trips(recipe)
+    neat = NEAT(network_for(spec), NEATConfig(eps=spec.eps, workers=1))
+    result = neat.run_opt(trajectories)
+    assert result.refinement_stats == REFINEMENT_STATS[recipe]
+    assert neat.engine.computations == REFINEMENT_STATS[recipe].shortest_path_computations
 
 
 def test_spread_cold_table_searches_each_pair_once(seed7_trips):

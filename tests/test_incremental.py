@@ -8,9 +8,10 @@ from repro.core.config import NEATConfig
 from repro.core.incremental import IncrementalNEAT
 from repro.core.model import Trajectory
 from repro.core.pipeline import NEAT
+from repro.core.refinement import RefinementStats, refine_flow_clusters
 from repro.errors import TrajectoryError
 
-from conftest import trajectory_through
+from conftest import recipe_input, trajectory_through
 
 
 class TestBatching:
@@ -106,3 +107,44 @@ class TestEngineAmortization:
         streaming_sids = {sid for f in incremental.flows for sid in f.sids}
         oneshot_sids = {sid for f in oneshot.flows for sid in f.sids}
         assert streaming_sids == oneshot_sids
+
+
+class TestNeighbourGraph:
+    """Each refresh decides only the pairs a batch adds."""
+
+    def test_stream_counters_sum_to_one_shot_refine(self):
+        # The service benchmark's stream, one trip per batch: the
+        # per-refresh counters sum to one refine of the final pool.
+        from neatbench.inputs import by_departure
+
+        network, trajectories, eps = recipe_input("STREAM")
+        config = NEATConfig(eps=eps)
+        incremental = IncrementalNEAT(network, config)
+        summed = RefinementStats()
+        for trajectory in by_departure(trajectories):
+            stats = incremental.add_batch([trajectory]).refinement_stats
+            summed.pair_checks += stats.pair_checks
+            summed.elb_pruned += stats.elb_pruned
+            summed.hausdorff_evaluations += stats.hausdorff_evaluations
+        oneshot = RefinementStats()
+        clusters = refine_flow_clusters(
+            network, incremental.flows, config, stats=oneshot
+        )
+        counts = (
+            summed.pair_checks, summed.elb_pruned, summed.hausdorff_evaluations
+        )
+        assert counts == (
+            oneshot.pair_checks, oneshot.elb_pruned, oneshot.hausdorff_evaluations
+        ) == (6320, 3460, 2860)
+        assert [[id(f) for f in c.flows] for c in clusters] == [
+            [id(f) for f in c.flows] for c in incremental.clusters
+        ]
+
+    def test_prefix_rows_must_fit_the_flows(self, line3):
+        flows = NEAT(line3, NEATConfig(min_card=0)).run_flow(
+            [trajectory_through(line3, 0, [0, 1, 2])]
+        ).flows
+        with pytest.raises(ValueError, match="neighbour rows"):
+            refine_flow_clusters(
+                line3, flows, neighbours=[[] for _ in range(len(flows) + 1)]
+            )

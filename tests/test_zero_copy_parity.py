@@ -97,26 +97,56 @@ class TestMaskParity:
                 assert bool(python_mask[i * n + j]) == expected
 
 
+class TestRowMask:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.tuples(_coord, _coord), min_size=4, max_size=16),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_rows_from_start_equal_the_full_mask(self, points, start):
+        # The rows of the flows from ``start`` on, as an incremental
+        # refresh asks for them: the stdlib kernel, and the numpy one
+        # when present, give exactly the full mask's rows.
+        if len(points) % 2:
+            points = points[:-1]
+        network = _StubNetwork(points)
+        flows = _flows(len(points))
+        n = len(flows)
+        start = min(start, n)
+        full = elb_far_mask(network, flows, _EPS, "python")
+        python_rows = elb_far_mask(network, flows, _EPS, "python", start)
+        assert len(python_rows) == (n - start) * n
+        assert bytes(python_rows) == bytes(full[start * n:])
+        for j in range(start, n):
+            for i in range(n):
+                expected = i != j and (
+                    euclidean_lower_bound(network, flows[i], flows[j]) > _EPS
+                )
+                assert bool(python_rows[(j - start) * n + i]) == expected
+        if HAVE_NUMPY:
+            numpy_rows = elb_far_mask(network, flows, _EPS, "numpy", start)
+            assert bytes(numpy_rows) == bytes(python_rows)
+
+
 # ----------------------------------------------------------------------
 # Backend resolution
 # ----------------------------------------------------------------------
 class TestVectorBackendResolution:
     def test_auto_resolves(self):
-        assert resolve_vector_backend("auto") in ("numpy", "python")
-
-    def test_python_always_honored(self):
-        assert resolve_vector_backend("python") == "python"
+        assert resolve_vector_backend("auto") == (
+            "numpy" if HAVE_NUMPY else "python"
+        )
 
     def test_numpy_respects_disable_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         assert get_numpy() is None
         assert resolve_vector_backend("auto") == "python"
-        with pytest.raises(ConfigError):
-            resolve_vector_backend("numpy")
 
     def test_unknown_setting_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_vector_backend("cuda")
+        # "auto" is the one setting: both paths decide alike.
+        for setting in ("numpy", "python", "cuda"):
+            with pytest.raises(ConfigError):
+                resolve_vector_backend(setting)
 
 
 # ----------------------------------------------------------------------
