@@ -33,7 +33,10 @@ class FlowCluster:
         self.front_node: int = segment.node_u
         #: Junction at which the flow can grow by appending.
         self.end_node: int = segment.node_v
+        # Memoized views, reset whenever the member list changes.
         self._participants: frozenset[int] | None = None
+        self._sids: tuple[int, ...] | None = None
+        self._route_length: float | None = None
 
     @classmethod
     def from_members(
@@ -77,7 +80,7 @@ class FlowCluster:
             )
         self._members.append(cluster)
         self.end_node = segment.other_endpoint(self.end_node)
-        self._participants = None
+        self._forget_views()
 
     def prepend(self, cluster: BaseCluster) -> None:
         """Extend the flow at its front junction with ``cluster``."""
@@ -89,7 +92,12 @@ class FlowCluster:
             )
         self._members.insert(0, cluster)
         self.front_node = segment.other_endpoint(self.front_node)
+        self._forget_views()
+
+    def _forget_views(self) -> None:
         self._participants = None
+        self._sids = None
+        self._route_length = None
 
     # ------------------------------------------------------------------
     # Views
@@ -107,7 +115,9 @@ class FlowCluster:
     @property
     def sids(self) -> tuple[int, ...]:
         """The representative route ``r_F`` as a segment-id sequence."""
-        return tuple(member.sid for member in self._members)
+        if self._sids is None:
+            self._sids = tuple(member.sid for member in self._members)
+        return self._sids
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -126,7 +136,11 @@ class FlowCluster:
     @property
     def route_length(self) -> float:
         """Length of the representative route in metres."""
-        return sum(self._network.segment(sid).length for sid in self.sids)
+        if self._route_length is None:
+            self._route_length = sum(
+                self._network.segment(sid).length for sid in self.sids
+            )
+        return self._route_length
 
     @property
     def participants(self) -> frozenset[int]:

@@ -44,29 +44,24 @@ FORMAT_TAG = "repro-clustering"
 FORMAT_VERSION = 1
 
 
+def _fragment_entry(fragment: TFragment) -> dict[str, Any]:
+    # Location's field order is the schema's row order, so the rows are
+    # built at C speed, one exact list per sample.
+    return {"trid": fragment.trid, "locations": list(map(list, fragment.locations))}
+
+
 def _fragment_to_list(
-    fragment: TFragment,
-    cache: dict[int, tuple[Any, Any]] | None = None,
+    fragment: TFragment, cache: dict[int, tuple[Any, Any]]
 ) -> dict[str, Any]:
-    if cache is None:
-        # Location's field order is the schema's row order, so the rows
-        # are built at C speed, one exact list per sample.
-        return {
-            "trid": fragment.trid,
-            "locations": list(map(list, fragment.locations)),
-        }
     hit = cache.get(id(fragment))
     if hit is not None:
         return hit[1]
-    # Cached documents use tuples for the location rows: json.dumps
-    # writes tuples and lists identically, but CPython's GC *untracks*
-    # tuples (and dicts) of atomic values — so a long-lived cache of
-    # thousands of fragments adds almost nothing to gen-2 collections,
-    # where an equivalent list-of-lists cache would be rescanned forever.
-    document = {
-        "trid": fragment.trid,
-        "locations": tuple(map(tuple, fragment.locations)),
-    }
+    # A cached entry holds the same list rows as an uncached build, so a
+    # cached document is the uncached one byte for byte (marshal and
+    # json both).  List rows stay GC-tracked, but the cache is their
+    # only copy: the served document and the checkpoints built with one
+    # cache share these entries.
+    document = _fragment_entry(fragment)
     # The fragment itself is kept in the entry so its id() can never
     # be recycled onto a different object while the cache is alive.
     cache[id(fragment)] = (fragment, document)
@@ -77,14 +72,14 @@ def _fragments_to_lists(
     fragments,
     cache: dict[int, tuple[Any, Any]] | None,
 ) -> list[dict[str, Any]]:
-    if cache is not None:
-        try:
-            # Entries pin their fragment, so a live id() can only be a
-            # genuine hit; the slow path below fills any misses.
-            return [cache[id(f)][1] for f in fragments]
-        except KeyError:
-            pass
-    return [_fragment_to_list(f, cache) for f in fragments]
+    if cache is None:
+        return [_fragment_entry(f) for f in fragments]
+    try:
+        # Entries pin their fragment, so a live id() can only be a
+        # genuine hit; the slow path below fills any misses.
+        return [cache[id(f)][1] for f in fragments]
+    except KeyError:
+        return [_fragment_to_list(f, cache) for f in fragments]
 
 
 def _cluster_to_dict(
@@ -136,7 +131,10 @@ def result_to_dict(
             refresh failed (see ``docs/robustness.md``).
         fragment_cache: Optional memo reused across calls — t-fragments
             are immutable, so repeated snapshots of a growing state
-            (per-batch checkpoints) skip re-serializing old fragments.
+            (the service's served document, its checkpoints) skip
+            re-serializing old base clusters.  Entries are shared
+            between the documents built with one cache: treat their
+            nested values as read-only.
 
     Runs with the cyclic GC paused (:mod:`repro.gcpause`): the document
     holds one row per location sample and references downwards only.

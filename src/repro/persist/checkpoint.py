@@ -46,7 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _log = get_logger("persist.checkpoint")
 
 STATE_FORMAT = "repro-incremental-state"
-STATE_VERSION = 1
+#: Version 2 leaves out the Phase 3 clusters, which recovery derives from
+#: the flows; a version 1 state is refused.
+STATE_VERSION = 2
 BATCH_FORMAT = "repro-journal-batch"
 BATCH_VERSION = 1
 

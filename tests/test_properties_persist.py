@@ -12,12 +12,17 @@ Three durability invariants, fuzzed rather than example-tested:
 * a state snapshot with one field perturbed and a valid checksum either
   fails recovery with a typed error or recovers the original state — the
   decoder never silently ignores, normalizes or drops a field, and never
-  accepts a state that no run could have written.
+  accepts a state that no run could have written;
+* a checkpoint recovered with no journal tail serves the uninterrupted
+  stream's document: the state carries no Phase 3 clusters, recovery
+  derives them (under the recovering config's ``eps``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import marshal
 import shutil
 import tempfile
 from pathlib import Path
@@ -31,8 +36,10 @@ from repro.core import NEATConfig
 from repro.core.incremental import IncrementalNEAT
 from repro.core.model import Location, Trajectory
 from repro.core.serialize import result_to_dict
+from repro.distributed.service import NeatService
 from repro.errors import CorruptSnapshot, PersistenceError
 from repro.persist import (
+    STATE_VERSION,
     SnapshotStore,
     encode_frame,
     encode_state_payload,
@@ -41,6 +48,8 @@ from repro.persist import (
     unseal_snapshot,
 )
 from repro.roadnet.builder import line_network, network_from_edges
+
+from test_properties_incremental import streams
 
 payloads_strategy = st.lists(
     st.binary(min_size=0, max_size=64), min_size=0, max_size=8
@@ -173,9 +182,9 @@ def state_template(tmp_path_factory):
             )
             trid += 1
         clusterer.add_batch(batch)
-    result = clusterer._state_document()["result"]
-    assert result["noise_flows"]
-    assert any(len(cluster["flow_indices"]) == 2 for cluster in result["clusters"])
+    assert clusterer._state_document()["result"]["noise_flows"]
+    # The state holds no clusters; recovery derives this two-flow one.
+    assert any(len(cluster.flows) == 2 for cluster in clusterer.clusters)
     return network, state_dir
 
 
@@ -288,7 +297,54 @@ class TestSnapshotDecoderProperties:
             ) == expected
 
 
+class TestRecoveryDerivesClusters:
+    @settings(max_examples=20, deadline=None)
+    @given(streams(), st.floats(min_value=100.0, max_value=1200.0))
+    def test_checkpoint_without_tail_serves_the_uninterrupted_document(
+        self, stream, other_eps
+    ):
+        network, config, batches = stream
+
+        def uninterrupted(config) -> bytes:
+            service = NeatService(network, config)
+            for batch in batches:
+                service.submit(batch)
+            return marshal.dumps(service.get_clustering(), 2)
+
+        with tempfile.TemporaryDirectory() as state_dir:
+            service = NeatService(network, config, state_dir=state_dir)
+            for batch in batches:
+                service.submit(batch)
+            service.checkpoint()
+            del service
+            for eps in (config.eps, other_eps):
+                recovered_config = dataclasses.replace(config, eps=eps)
+                recovered = NeatService(network, recovered_config, state_dir=state_dir)
+                assert recovered._incremental.batch_count == len(batches)
+                assert marshal.dumps(
+                    recovered.get_clustering(), 2
+                ) == uninterrupted(recovered_config)
+
+
 class TestSnapshotDecoderRegressions:
+    def test_state_with_clusters_is_refused(self, state_template, tmp_path):
+        # Clusters are derived on recovery, so a state that lists them
+        # (a version 1 state, or an edit) cannot steer what is served.
+        network, template = state_template
+        shutil.copytree(template, tmp_path / "state")
+        _reseal(tmp_path / "state",
+                lambda document: document["result"].update(clusters=[]))
+        with pytest.raises(CorruptSnapshot, match="re-encode"):
+            _recovered_document(network, tmp_path / "state")
+
+    def test_version_1_state_is_refused(self, state_template, tmp_path):
+        network, template = state_template
+        shutil.copytree(template, tmp_path / "state")
+        assert STATE_VERSION == 2
+        _reseal(tmp_path / "state", lambda document: document.update(version=1))
+        with pytest.raises(CorruptSnapshot, match="unsupported version"):
+            _recovered_document(network, tmp_path / "state")
+
     def test_interleaved_state_reencodes_exactly(self, state_template, tmp_path):
         # Checkpoints after every batch list each batch's noise-flow base
         # clusters before the next batch's flows; recovery keeps that order.

@@ -71,12 +71,8 @@ class TestRoundTrip:
         assert len(restored.flows) == len(result.flows)
 
 
-def _reference_document(result, network_name: str = "", row=list) -> dict:
-    """The clustering document built attribute by attribute.
-
-    ``row`` is ``list`` for a plain build and ``tuple`` for the rows a
-    fragment cache holds.
-    """
+def _reference_document(result, network_name: str = "") -> dict:
+    """The clustering document built attribute by attribute."""
     flow_index = {id(flow): i for i, flow in enumerate(result.flows)}
     base_index = {id(c): i for i, c in enumerate(result.base_clusters)}
 
@@ -87,10 +83,8 @@ def _reference_document(result, network_name: str = "", row=list) -> dict:
         }
 
     def fragment_entry(fragment):
-        rows = [
-            row((l.sid, l.x, l.y, l.t, l.node_id)) for l in fragment.locations
-        ]
-        return {"trid": fragment.trid, "locations": row(rows)}
+        rows = [[l.sid, l.x, l.y, l.t, l.node_id] for l in fragment.locations]
+        return {"trid": fragment.trid, "locations": rows}
 
     return {
         "format": "repro-clustering",
@@ -144,9 +138,8 @@ class TestDocumentBytes:
     def test_cached_build_marshal_identical_to_reference(self, run):
         network, result = run
         cache: dict = {}
-        reference = marshal.dumps(
-            _reference_document(result, network.name, row=tuple), 2
-        )
+        # A cached build holds the same list rows as the plain one.
+        reference = marshal.dumps(_reference_document(result, network.name), 2)
         for _ in range(2):  # cold, then every fragment a cache hit
             document = result_to_dict(
                 result, network_name=network.name, fragment_cache=cache
