@@ -4,12 +4,14 @@ Runs opt-NEAT at the paper's actual scale — the full-size ATL network
 (~7k junctions, ~9.2k segments) with 5000 objects (~0.8M points) and the
 paper's eps = 6500 m — to confirm the implementation handles Table II's
 magnitudes, not just the scaled bench workloads.  Skipped by default:
-trace generation alone takes ~1 minute.
+trace generation alone takes about half a minute.
 
-Reference measurement on this repository's development machine:
-dataset generation 54.6 s; opt-NEAT 13.3 s total (Phase 1: 9.9 s,
-Phase 2: 1.2 s, Phase 3: 2.2 s with ELB) — the same order of magnitude
-as the paper's 59.7 s for ATL5000 on 2008-era Java.
+Reference measurement (2-CPU x86-64 host, CPython 3.11.7, 2026-10-20;
+four cold runs, one process each, medians with the range): opt-NEAT
+5.35 s total (4.99-5.95 s): Phase 1 1.88 s (1.72-2.51), Phase 2
+1.81 s (1.72-1.91), Phase 3 1.61 s (1.53-1.66, with ELB); 15 flows,
+3 clusters — an order of magnitude below the paper's 59.7 s for
+ATL5000 on 2008-era Java.
 
 Run with ``REPRO_PAPER_SCALE=1 python -m pytest
 benchmarks/bench_paper_scale.py``.
@@ -57,7 +59,10 @@ def bench_paper_scale_atl5000(benchmark, emit):
         f"{network.segment_count} segments (paper: 6979 / 9187)\n"
         f"  dataset: {dataset.total_points} points (paper: 1,277,521)\n"
         f"  opt-NEAT: {format_seconds(result.timings.total)} "
-        f"(paper: 59.7 s on 2008 Java) -> {result.flow_count} flows, "
+        f"(Phase 1 {format_seconds(result.timings.base)}, "
+        f"Phase 2 {format_seconds(result.timings.flow)}, "
+        f"Phase 3 {format_seconds(result.timings.refine)}; "
+        f"paper: 59.7 s on 2008 Java) -> {result.flow_count} flows, "
         f"{result.cluster_count} clusters",
     )
     assert result.flows

@@ -24,11 +24,7 @@ from .config import (
 from .flow_cluster import FlowCluster
 from .flow_formation import FlowFormationResult, form_flow_clusters
 from .incremental import BatchResult, IncrementalNEAT
-from .fragmentation import (
-    fragment_all,
-    fragment_trajectory,
-    insert_junction_points,
-)
+from .fragmentation import fragment_all, fragment_trajectory
 from .model import Location, TFragment, Trajectory, TrajectoryDataset
 from .neighborhood import BaseClusterPool, maxflow_neighbor
 from .pipeline import MODES, NEAT
@@ -91,7 +87,6 @@ __all__ = [
     "fragment_all",
     "fragment_trajectory",
     "group_fragments",
-    "insert_junction_points",
     "load_result",
     "maxflow_neighbor",
     "netflow",

@@ -1,14 +1,16 @@
 """Phase 1, step 1: partitioning trajectories into t-fragments.
 
-Implements Section III-A1 of the paper.  Every pair of consecutive samples
-is inspected: when their road segments differ, the junction crossings
-between them are recovered (directly for contiguous segments, via
-path inference otherwise; either way once per segment pair and network)
-and the crossed junctions are inserted as new, specially-marked points.
-The augmented trajectory is then split at those junction points into
-:class:`~repro.core.model.TFragment` objects, each of which lies entirely
-on one road segment and keeps the source trajectory's identity, route and
-direction.
+Implements Section III-A1 of the paper.  One pass over a trajectory's
+samples follows the road segment they lie on.  Where two consecutive
+samples lie on different segments, the junctions crossed between them are
+recovered (directly for contiguous segments, via path inference
+otherwise; either way once per segment pair and network) and each crossed
+junction closes the open :class:`~repro.core.model.TFragment` and opens
+the next one, as two co-located, specially-marked points.  A fragment
+keeps only its boundary points — the trajectory's first or last sample,
+or a junction point — so the paper's augmented trajectory is never
+built; each fragment lies entirely on one road segment and keeps the
+source trajectory's identity, route and direction.
 """
 
 from __future__ import annotations
@@ -20,43 +22,6 @@ from ..gcpause import gc_paused
 from ..mapmatch.path_inference import crossing_row
 from ..roadnet.network import RoadNetwork
 from .model import Location, TFragment, Trajectory
-
-
-def insert_junction_points(
-    network: RoadNetwork, trajectory: Trajectory
-) -> list[Location]:
-    """The trajectory's samples with junction crossings spliced in.
-
-    Each crossing contributes *two* co-located junction points: one closing
-    the segment being left and one opening the segment being entered, so a
-    later linear scan can split exactly at segment changes.  Crossing
-    timestamps are interpolated evenly between the surrounding samples.
-    """
-    augmented: list[Location] = []
-    locations = trajectory.locations
-    for i, current in enumerate(locations):
-        if not network.has_segment(current.sid):
-            raise UnknownSegmentError(current.sid)
-        augmented.append(current)
-        if i + 1 >= len(locations):
-            break
-        nxt = locations[i + 1]
-        if current.sid == nxt.sid:
-            continue
-        row = crossing_row(network, current.sid, nxt.sid)
-        count = len(row) // 2
-        leaving_sid = current.sid
-        for j in range(count):
-            node_id = row[2 * j]
-            sid = row[2 * j + 1]
-            point = network.node_point(node_id)
-            t = current.t + (nxt.t - current.t) * (j + 1) / (count + 1)
-            augmented.append(
-                Location(leaving_sid, point.x, point.y, t, node_id=node_id)
-            )
-            augmented.append(Location(sid, point.x, point.y, t, node_id=node_id))
-            leaving_sid = sid
-    return augmented
 
 
 def fragment_trajectory(
@@ -77,29 +42,58 @@ def fragment_trajectory(
     Returns:
         The fragments in travel order.  Consecutive fragments lie on
         adjacent road segments by construction.
+
+    Raises:
+        UnknownSegmentError: for the first sample on a segment the network
+            does not have.  Only the first sample is looked up here: a
+            later sample either repeats its predecessor's segment or is
+            looked up by :func:`~repro.mapmatch.path_inference.crossing_row`.
+        NoPathError: when two consecutive samples' segments are not
+            connected.
+
+    Each crossing's junction points are timed evenly between the two
+    samples around it.  A crossing row between two different segments is
+    never empty, so every fragment has at least two points.
     """
-    augmented = insert_junction_points(network, trajectory)
+    trid = trajectory.trid
+    locations = trajectory.locations
+    opened = locations[0]
+    sid = opened.sid
+    if not network.has_segment(sid):
+        raise UnknownSegmentError(sid)
+    node_point = network.node_point
     fragments: list[TFragment] = []
-    run: list[Location] = []
-    for location in augmented:
-        if run and location.sid != run[-1].sid:
-            fragments.append(_make_fragment(trajectory.trid, run, keep_interior_points))
-            run = []
-        run.append(location)
-    if run:
-        fragments.append(_make_fragment(trajectory.trid, run, keep_interior_points))
-    return fragments
-
-
-def _make_fragment(
-    trid: int, run: list[Location], keep_interior_points: bool
-) -> TFragment:
-    """Build a fragment from a same-sid run of locations."""
-    if keep_interior_points or len(run) <= 2:
-        kept = tuple(run)
+    append = fragments.append
+    # Index of the open fragment's first original sample after ``opened``.
+    start = 1
+    for i, nxt in enumerate(locations):
+        if nxt.sid == sid:
+            continue
+        row = crossing_row(network, sid, nxt.sid)
+        count = len(row) // 2
+        t0 = locations[i - 1].t
+        dt = nxt.t - t0
+        for j in range(count):
+            node_id = row[2 * j]
+            point = node_point(node_id)
+            x = point.x
+            y = point.y
+            t = t0 + dt * (j + 1) / (count + 1)
+            closing = Location(sid, x, y, t, node_id)
+            if keep_interior_points:
+                kept = (opened, *locations[start:i], closing)
+                start = i
+            else:
+                kept = (opened, closing)
+            append(TFragment(trid, sid, kept))
+            sid = row[2 * j + 1]
+            opened = Location(sid, x, y, t, node_id)
+    if keep_interior_points:
+        kept = (opened, *locations[start:])
     else:
-        kept = (run[0], run[-1])
-    return TFragment(trid=trid, sid=run[0].sid, locations=kept)
+        kept = (opened, locations[-1])
+    append(TFragment(trid, sid, kept))
+    return fragments
 
 
 @gc_paused

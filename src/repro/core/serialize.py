@@ -134,7 +134,13 @@ def result_to_dict(
             (the service's served document, its checkpoints) skip
             re-serializing old base clusters.  Entries are shared
             between the documents built with one cache: treat their
-            nested values as read-only.
+            nested values as read-only.  Precondition: a base cluster
+            serialized with this cache only ever grows afterwards — its
+            fragments are appended, never replaced, removed or
+            reordered — because a cluster's entry is keyed on the
+            cluster's identity and fragment count, not on its fragments.
+            :class:`~repro.core.incremental.IncrementalNEAT`'s committed
+            base clusters meet it: they are never mutated at all.
 
     Runs with the cyclic GC paused (:mod:`repro.gcpause`): the document
     holds one row per location sample and references downwards only.

@@ -4,32 +4,36 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.fragmentation import (
-    fragment_all,
-    fragment_trajectory,
-    insert_junction_points,
-)
+from repro.core.fragmentation import fragment_all, fragment_trajectory
 from repro.core.model import Location, Trajectory
 
 from conftest import trajectory_through
 
 
+def junction_points(fragments):
+    """Every fragment boundary point that is an inserted junction point."""
+    return [l for f in fragments for l in f.locations if l.is_junction]
+
+
 class TestInsertJunctionPoints:
+    """The junction points the fragmenter inserts at each crossing."""
+
     def test_same_segment_inserts_nothing(self, line3):
         tr = trajectory_through(line3, 0, [0])
-        augmented = insert_junction_points(line3, tr)
-        assert len(augmented) == len(tr.locations)
-        assert all(not l.is_junction for l in augmented)
+        fragments = fragment_trajectory(line3, tr)
+        assert fragments[0].locations == (tr.locations[0], tr.locations[-1])
+        assert junction_points(fragments) == []
 
     def test_adjacent_segments_insert_shared_junction(self, line3):
         tr = trajectory_through(line3, 0, [0, 1])
-        augmented = insert_junction_points(line3, tr)
-        junctions = [l for l in augmented if l.is_junction]
+        first, second = fragment_trajectory(line3, tr)
         # One crossing -> two co-located marked points (closing/opening).
-        assert len(junctions) == 2
-        assert junctions[0].node_id == junctions[1].node_id == 1
-        assert junctions[0].sid == 0  # closes segment 0
-        assert junctions[1].sid == 1  # opens segment 1
+        assert junction_points([first, second]) == [first.last, second.first]
+        assert first.last.node_id == second.first.node_id == 1
+        assert first.last.sid == 0  # closes segment 0
+        assert second.first.sid == 1  # opens segment 1
+        assert first.last.point == second.first.point
+        assert first.last.t == second.first.t
 
     def test_skipped_segment_inserts_both_crossings(self, line3):
         # Samples on segments 0 and 2 only: the object crossed segment 1.
@@ -40,26 +44,27 @@ class TestInsertJunctionPoints:
                 Location(2, 250.0, 0.0, 30.0),
             ),
         )
-        augmented = insert_junction_points(line3, tr)
-        junction_nodes = [l.node_id for l in augmented if l.is_junction]
+        fragments = fragment_trajectory(line3, tr)
+        assert [f.sid for f in fragments] == [0, 1, 2]
+        junction_nodes = [l.node_id for l in junction_points(fragments)]
         assert junction_nodes == [1, 1, 2, 2]
 
     def test_junction_timestamps_interpolated(self, line3):
         tr = Trajectory(
             0, (Location(0, 50.0, 0.0, 0.0), Location(2, 250.0, 0.0, 30.0))
         )
-        augmented = insert_junction_points(line3, tr)
-        times = [l.t for l in augmented]
+        fragments = fragment_trajectory(line3, tr)
+        times = [l.t for f in fragments for l in f.locations]
         assert times == sorted(times)
-        junction_times = sorted({l.t for l in augmented if l.is_junction})
+        junction_times = sorted({l.t for l in junction_points(fragments)})
         assert junction_times == [pytest.approx(10.0), pytest.approx(20.0)]
 
     def test_junction_coordinates_are_node_positions(self, line3):
-        tr = trajectory_through(line3, 0, [0, 1])
-        augmented = insert_junction_points(line3, tr)
-        for location in augmented:
-            if location.is_junction:
-                assert location.point == line3.node_point(location.node_id)
+        tr = trajectory_through(line3, 0, [0, 1, 2])
+        junctions = junction_points(fragment_trajectory(line3, tr))
+        assert len(junctions) == 4
+        for location in junctions:
+            assert location.point == line3.node_point(location.node_id)
 
 
 class TestFragmentTrajectory:

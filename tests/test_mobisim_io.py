@@ -42,8 +42,8 @@ class TestRoundTrip:
         assert restored.total_points == dataset.total_points
 
     def test_junction_marks_survive(self, line3, tmp_path):
-        from repro.core.fragmentation import insert_junction_points
         from repro.core.model import Trajectory
+        from reference_phase1 import insert_junction_points
 
         tr = trajectory_through(line3, 0, [0, 1])
         augmented = Trajectory(0, tuple(insert_junction_points(line3, tr)))

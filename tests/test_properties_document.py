@@ -12,7 +12,11 @@ injected journal fault) and a restart mid-stream, after every batch:
 * a ``mutable=True`` document is a private copy: editing its nested
   rows leaks neither into later served documents nor into the state a
   restart recovers, while a default document shares them (the
-  documented read-only contract).
+  documented read-only contract);
+* every committed base cluster keeps the same fragment objects in the
+  same order, and a restart recovers them equal and in order: the
+  whole-cluster memo behind ``result_to_dict``'s ``fragment_cache``
+  trusts that a committed base cluster is never mutated in place.
 """
 
 from __future__ import annotations
@@ -83,6 +87,23 @@ def _vandalize_mutable_copy(service) -> None:
         )
 
 
+def _committed(service) -> list:
+    """Each committed base cluster with its fragment objects, as a pin."""
+    incremental = service._incremental
+    flows = incremental.flows + incremental.noise_flows
+    return [
+        (cluster, list(cluster.fragments))
+        for flow in flows
+        for cluster in flow.members
+    ]
+
+
+def _assert_unchanged(pinned) -> None:
+    for cluster, fragments in pinned:
+        assert len(cluster.fragments) == len(fragments)
+        assert all(a is b for a, b in zip(cluster.fragments, fragments))
+
+
 @settings(max_examples=25, deadline=None)
 @given(streams(), st.data())
 def test_served_document_equals_a_fresh_build(stream, data):
@@ -91,6 +112,7 @@ def test_served_document_equals_a_fresh_build(stream, data):
     checkpoint_first = data.draw(st.booleans())
     with tempfile.TemporaryDirectory() as state_dir:
         service = NeatService(network, config, state_dir=state_dir)
+        pinned = []
         for index, batch in enumerate(batches):
             if index == restart_at:
                 if checkpoint_first:
@@ -102,6 +124,9 @@ def test_served_document_equals_a_fresh_build(stream, data):
                 after = service.get_clustering()
                 for key in SERVED_KEYS:
                     assert after[key] == before[key]
+                recovered = _committed(service)
+                assert [f for _, f in recovered] == [f for _, f in pinned]
+                pinned = recovered
 
             if batch and data.draw(st.booleans()):
                 # Refused at admission by the clusterer: rolled back.
@@ -113,6 +138,7 @@ def test_served_document_equals_a_fresh_build(stream, data):
                         auto_offset_ids=True,
                     )
                 _assert_served_is_fresh(service)
+                _assert_unchanged(pinned)
             if data.draw(st.booleans()):
                 # The first attempt's journal append fails and rolls the
                 # batch back; the service's retry then commits it.
@@ -123,3 +149,5 @@ def test_served_document_equals_a_fresh_build(stream, data):
             _assert_served_is_fresh(service)
             _vandalize_mutable_copy(service)
             _assert_served_is_fresh(service)
+            _assert_unchanged(pinned)
+            pinned = _committed(service)
