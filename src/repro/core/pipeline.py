@@ -16,13 +16,15 @@ Section IV of the paper names three usable variants of the framework:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..errors import PersistenceError
 from ..obs import Telemetry, get_logger
+from ..roadnet.io import network_to_dict
 from ..roadnet.network import RoadNetwork
 from ..roadnet.shortest_path import ShortestPathEngine
 from .base_cluster import form_base_clusters
@@ -43,6 +45,11 @@ PHASE_CHECKPOINT_FORMAT = "repro-phase-checkpoint"
 PHASE_CHECKPOINT_VERSION = 1
 
 _log = get_logger("core.pipeline")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _pool_snapshot(metrics) -> dict[str, int] | None:
@@ -147,22 +154,60 @@ class NEAT:
         Returns:
             The phase outputs, timings and counters of this run.
         """
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        trajectory_list = self._as_list(trajectories)
+        _check_mode(mode)
+        return self._drive(self._as_list(trajectories), mode)
 
+    def _drive(
+        self,
+        trajectory_list: list[Trajectory],
+        mode: str,
+        result: NEATResult | None = None,
+        done: int = -1,
+        checkpoint: Callable[[str], None] | None = None,
+    ) -> NEATResult:
+        """The one phase sequence: Phase 1, 2 and 3, up to ``mode``.
+
+        Every run goes through here, whoever supplies its phases: it
+        opens the ``neat.run`` span and one span per phase
+        (``PhaseTimings`` is a derived view of their durations), binds
+        the engine's metrics, publishes the run's pool deltas and
+        snapshots the telemetry into the result.  Phases up to ``done``
+        (an index into :data:`MODES`) were restored into ``result`` and
+        are skipped, timing zero; ``checkpoint(phase)`` runs after each
+        phase computed here.
+        """
+        if result is None:
+            result = NEATResult(mode=mode, timings=PhaseTimings())
         telemetry = (
             self.telemetry if self.telemetry is not None else Telemetry.create()
         )
-        result = NEATResult(mode=mode, timings=PhaseTimings())
-        with telemetry.tracer.span("neat.run"):
-            self._run_phases(trajectory_list, mode, result, telemetry)
+        tracer = telemetry.tracer
+        metrics = telemetry.metrics if telemetry.enabled else None
+        # (Re)bind per run: a fresh registry sees per-run deltas even on a
+        # warm shared engine; disabled runs unbind so the hot path pays
+        # only the None checks.
+        self.engine.bind_metrics(metrics)
+        phases = (
+            functools.partial(self._phase1, trajectory_list),
+            self._phase2,
+            self._phase3,
+        )
+        with tracer.span("neat.run"):
+            pool_before = _pool_snapshot(metrics)
+            try:
+                for index in range(done + 1, MODES.index(mode) + 1):
+                    phases[index](result, tracer, metrics)
+                    if checkpoint is not None:
+                        checkpoint(MODES[index])
+            finally:
+                _publish_pool_deltas(metrics, pool_before)
         if telemetry.enabled:
             result.telemetry = telemetry.snapshot()
         _log.info(
             "run complete",
             mode=mode,
             trajectories=len(trajectory_list),
+            resumed_phases=done + 1,
             base_clusters=len(result.base_clusters),
             flows=len(result.flows),
             clusters=len(result.clusters),
@@ -170,50 +215,25 @@ class NEAT:
         )
         return result
 
-    def _run_phases(
-        self,
-        trajectory_list: list[Trajectory],
-        mode: str,
-        result: NEATResult,
-        telemetry: Telemetry,
-    ) -> None:
-        """Run the requested phases, timing each with a span.
-
-        ``PhaseTimings`` is a derived view of the span durations; the
-        metrics registry receives each phase module's counters.
-        """
-        tracer = telemetry.tracer
-        metrics = telemetry.metrics if telemetry.enabled else None
-        # (Re)bind per run: a fresh registry sees per-run deltas even on a
-        # warm shared engine; disabled runs unbind so the hot path pays
-        # only the None checks.
-        self.engine.bind_metrics(metrics)
-
-        pool_before = _pool_snapshot(metrics)
-        try:
-            self._phase1(trajectory_list, result, tracer, metrics)
-            if mode == "base":
-                return
-            self._phase2(result, tracer, metrics)
-            if mode == "flow":
-                return
-            self._phase3(result, tracer, metrics)
-        finally:
-            _publish_pool_deltas(metrics, pool_before)
-
     def _phase1(self, trajectory_list, result, tracer, metrics) -> None:
         with tracer.span("phase1.fragmentation") as span:
-            result.base_clusters = form_base_clusters(
-                self.network,
-                trajectory_list,
-                keep_interior_points=self.config.keep_interior_points,
-                metrics=metrics,
+            result.base_clusters = self._base_clusters(
+                trajectory_list, result, metrics
             )
         result.timings.base = span.duration
         _log.debug(
             "phase1 done",
             base_clusters=len(result.base_clusters),
             seconds=round(span.duration, 6),
+        )
+
+    def _base_clusters(self, trajectory_list, result, metrics) -> list:
+        """Phase 1's output; the coordinator runs it on its data nodes."""
+        return form_base_clusters(
+            self.network,
+            trajectory_list,
+            keep_interior_points=self.config.keep_interior_points,
+            metrics=metrics,
         )
 
     def _phase2(self, result, tracer, metrics) -> None:
@@ -244,6 +264,7 @@ class NEAT:
                 stats=stats,
                 metrics=metrics,
                 workers=self.config.workers,
+                executor=self._phase3_executor(),
             )
         result.timings.refine = span.duration
         result.refinement_stats = stats
@@ -254,6 +275,10 @@ class NEAT:
             sp_computations=stats.shortest_path_computations,
             seconds=round(span.duration, 6),
         )
+
+    def _phase3_executor(self) -> Callable | None:
+        """Where Phase 3's planned searches run: None is inline or the pool."""
+        return None
 
     # ------------------------------------------------------------------
     def run_resumable(
@@ -280,63 +305,16 @@ class NEAT:
         Restored phases report zero in ``result.timings`` (nothing was
         recomputed for them).
         """
-        from .serialize import result_from_dict, result_to_dict
+        from ..persist.store import SnapshotStore
+        from .serialize import result_to_dict
 
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        _check_mode(mode)
         trajectory_list = self._as_list(trajectories)
         fingerprint = self._fingerprint(trajectory_list)
-
-        from ..persist.store import SnapshotStore
-
         store = SnapshotStore(
             Path(state_dir) / "phases", keep=2, fsync=fsync, faults=faults,
         )
-        done = -1  # index into MODES of the furthest restored phase
-        result = NEATResult(mode=mode, timings=PhaseTimings())
-        try:
-            latest = store.read_latest()
-        except PersistenceError as error:
-            _log.warning("phase checkpoints unreadable", error=repr(error))
-            latest = None
-        if latest is not None:
-            generation, payload = latest
-            try:
-                document = json.loads(payload.decode("utf-8"))
-                if (
-                    document.get("format") == PHASE_CHECKPOINT_FORMAT
-                    and document.get("version") == PHASE_CHECKPOINT_VERSION
-                    and document.get("fingerprint") == fingerprint
-                    and document.get("phase") in MODES
-                ):
-                    restored = result_from_dict(document["result"], self.network)
-                    phase = document["phase"]
-                    done = min(MODES.index(phase), MODES.index(mode))
-                    result.base_clusters = restored.base_clusters
-                    if done >= 1:
-                        result.flows = restored.flows
-                        result.noise_flows = restored.noise_flows
-                        result.min_card_used = restored.min_card_used
-                    if done >= 2:
-                        result.clusters = restored.clusters
-                    _log.info(
-                        "resumed from phase checkpoint",
-                        phase=phase, generation=generation.number,
-                    )
-            except Exception as error:
-                # Undecodable or wrong-shaped checkpoint: recompute.
-                _log.warning(
-                    "phase checkpoint ignored",
-                    generation=generation.number, error=repr(error),
-                )
-                done = -1
-
-        telemetry = (
-            self.telemetry if self.telemetry is not None else Telemetry.create()
-        )
-        tracer = telemetry.tracer
-        metrics = telemetry.metrics if telemetry.enabled else None
-        self.engine.bind_metrics(metrics)
+        result, done = self._restore(store, fingerprint, mode)
 
         def save(phase: str) -> None:
             document = {
@@ -357,37 +335,66 @@ class NEAT:
                     phase=phase, error=repr(error),
                 )
 
-        pool_before = _pool_snapshot(metrics)
+        return self._drive(trajectory_list, mode, result, done, save)
+
+    def _restore(self, store, fingerprint: str, mode: str) -> tuple[NEATResult, int]:
+        """The newest matching checkpoint's phases, up to ``mode``.
+
+        Returns the result holding them and the index into :data:`MODES`
+        of the furthest restored phase (-1: nothing usable).
+        """
+        from .serialize import result_from_dict
+
+        result = NEATResult(mode=mode, timings=PhaseTimings())
         try:
-            with tracer.span("neat.run_resumable"):
-                if done < 0:
-                    self._phase1(trajectory_list, result, tracer, metrics)
-                    save("base")
-                if mode != "base" and done < 1:
-                    self._phase2(result, tracer, metrics)
-                    save("flow")
-                if mode == "opt" and done < 2:
-                    self._phase3(result, tracer, metrics)
-                    save("opt")
-        finally:
-            _publish_pool_deltas(metrics, pool_before)
-        if telemetry.enabled:
-            result.telemetry = telemetry.snapshot()
+            latest = store.read_latest()
+        except PersistenceError as error:
+            _log.warning("phase checkpoints unreadable", error=repr(error))
+            return result, -1
+        if latest is None:
+            return result, -1
+        generation, payload = latest
+        try:
+            document = json.loads(payload.decode("utf-8"))
+            if not (
+                document.get("format") == PHASE_CHECKPOINT_FORMAT
+                and document.get("version") == PHASE_CHECKPOINT_VERSION
+                and document.get("fingerprint") == fingerprint
+                and document.get("phase") in MODES
+            ):
+                return result, -1
+            restored = result_from_dict(document["result"], self.network)
+        except Exception as error:
+            # Undecodable or wrong-shaped checkpoint: recompute.
+            _log.warning(
+                "phase checkpoint ignored",
+                generation=generation.number, error=repr(error),
+            )
+            return result, -1
+        phase = document["phase"]
+        done = min(MODES.index(phase), MODES.index(mode))
+        result.base_clusters = restored.base_clusters
+        if done >= 1:
+            result.flows = restored.flows
+            result.noise_flows = restored.noise_flows
+            result.min_card_used = restored.min_card_used
+        if done >= 2:
+            result.clusters = restored.clusters
         _log.info(
-            "resumable run complete",
-            mode=mode,
-            resumed_phases=done + 1,
-            flows=len(result.flows),
-            clusters=len(result.clusters),
+            "resumed from phase checkpoint",
+            phase=phase, generation=generation.number,
         )
-        return result
+        return result, done
 
     def _fingerprint(self, trajectory_list: list[Trajectory]) -> str:
         """Identity of (config, network, inputs) for checkpoint matching.
 
         Covers exactly the result-affecting knobs — operational settings
         (workers, retries, deadlines) deliberately excluded, so changing
-        them does not invalidate checkpoints.
+        them does not invalidate checkpoints.  The network counts by
+        content: every junction and every saved segment row, so an
+        edited map never resumes a stale checkpoint.  Floats are encoded
+        by ``repr``, stable across processes.
         """
         config = self.config
         digest = hashlib.sha256()
@@ -397,8 +404,7 @@ class NEAT:
             "eps": config.eps, "min_pts": config.min_pts,
             "use_elb": config.use_elb,
             "keep_interior_points": config.keep_interior_points,
-            "network": self.network.name,
-            "segments": self.network.segment_count,
+            "network": network_to_dict(self.network),
         }, sort_keys=True).encode("utf-8"))
         for trajectory in trajectory_list:
             digest.update(str(trajectory.trid).encode("utf-8"))

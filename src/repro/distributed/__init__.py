@@ -22,7 +22,7 @@ deadlines, a circuit breaker and degraded-mode (stale-snapshot) serving.
 See ``docs/robustness.md``.
 """
 
-from .nodes import NeatCoordinator, merge_base_clusters, shard_round_robin
+from .nodes import NeatCoordinator, merge_base_clusters
 from .service import NeatService, ServiceStats
 from .shardmap import HashRing, RegionShardMap, boundary_sids
 from .transport import (
@@ -52,7 +52,6 @@ __all__ = [
     "TransportClient",
     "boundary_sids",
     "merge_base_clusters",
-    "shard_round_robin",
     "spawn_local_shards",
     "stop_shards",
 ]

@@ -10,8 +10,9 @@ preprocessing exact:
    fragments its trajectory shard and groups the fragments into partial
    base clusters;
 2. :func:`merge_base_clusters` unions the partial clusters by sid;
-3. the :class:`NeatCoordinator` runs Phases 2-3 on the merged clusters,
-   producing bit-identical results to a centralized run.
+3. the :class:`NeatCoordinator` runs Phases 2-3 on the merged clusters
+   through NEAT's own phase driver, producing bit-identical results,
+   timings and counters to a centralized run.
 
 On top of that dataflow the coordinator is *robust*: node dispatches run
 under a :class:`~repro.resilience.RetryPolicy`, a node whose retries are
@@ -31,16 +32,14 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..core.base_cluster import BaseCluster
 from ..core.config import NEATConfig
-from ..core.flow_formation import form_flow_clusters
 from ..core.model import Trajectory
-from ..core.refinement import RefinementStats, refine_flow_clusters
-from ..core.result import NEATResult, PhaseTimings
+from ..core.pipeline import NEAT
+from ..core.result import NEATResult
 from ..errors import NodeDown, QuorumLost, RetriesExhausted
 from ..obs import Telemetry, get_logger
 from ..parallel import split_spans
 from ..resilience import FaultInjector, RetryPolicy
 from ..roadnet.network import RoadNetwork
-from ..roadnet.shortest_path import ShortestPathEngine
 from .shardmap import RegionShardMap, boundary_sids
 from .transport import InProcessClient, RemoteDataNode, ShardNode
 
@@ -56,23 +55,6 @@ def _start(starter: Callable[[], object]) -> object:
         return starter()
     except Exception as error:
         return error
-
-
-def shard_round_robin(
-    trajectories: Sequence[Trajectory], shard_count: int
-) -> list[list[Trajectory]]:
-    """Partition trajectories across ``shard_count`` shards round-robin.
-
-    ``shard_count`` may exceed the trajectory count; the surplus shards
-    come back empty and the coordinator skips them (an empty shard is not
-    dispatched to a node).
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    shards: list[list[Trajectory]] = [[] for _ in range(shard_count)]
-    for index, trajectory in enumerate(trajectories):
-        shards[index % shard_count].append(trajectory)
-    return shards
 
 
 def merge_base_clusters(
@@ -113,8 +95,14 @@ def merge_base_clusters(
     return sorted(merged.values(), key=lambda s: (-s.density, s.sid))
 
 
-class NeatCoordinator:
+class NeatCoordinator(NEAT):
     """The server tier: shards input, gathers Phase 1, runs Phases 2-3.
+
+    A :class:`~repro.core.pipeline.NEAT` whose Phase 1 runs on data nodes
+    and whose Phase 3 searches may run there too; NEAT's phase driver
+    sequences the phases, so a coordinator run reports the same phase
+    timings, spans and Phase 2-3 counters as a serial run.  The
+    ``neat.phase1.*`` counters are counted on the data nodes.
 
     Args:
         network: The road network (replicated to every node).
@@ -127,9 +115,10 @@ class NeatCoordinator:
         retry_policy: Policy for node dispatches.  The default retries
             ``config.max_retries`` times with zero backoff — pass a real
             policy when fronting shard processes.
-        telemetry: Optional shared telemetry bundle; the coordinator
-            publishes ``resilience.*`` and ``coordinator.*`` counters and
-            structured events into it.
+        telemetry: Optional shared telemetry bundle (default disabled);
+            runs publish their spans, phase counters and the
+            ``resilience.*``, ``ring.*`` and ``coordinator.*`` counters
+            into it.
         redispatch: Re-run a failed shard's trajectories on surviving
             nodes before declaring the shard dropped.
         min_quorum: Minimum fraction of dispatched shards that must be
@@ -140,14 +129,14 @@ class NeatCoordinator:
             ones fronting shard processes through a
             :class:`~repro.distributed.transport.TransportClient`.
             ``node_count`` is ignored when given.
-        shardmap: Optional
-            :class:`~repro.distributed.shardmap.RegionShardMap`: shards
-            are cut by map region through its consistent-hash ring
-            instead of round-robin, a dead node triggers a deterministic
-            ring rebalance (counted in ``ring.rebalances``) and
-            re-dispatch follows ring preference order.  Results are
-            byte-identical either way — Phase 1 merges exactly under any
-            partition.
+        shardmap: The
+            :class:`~repro.distributed.shardmap.RegionShardMap` cutting
+            shards through its consistent-hash ring; by default a
+            region map over the nodes' ids.  A dead node triggers a
+            deterministic ring rebalance (counted in ``ring.rebalances``)
+            and re-dispatch follows ring preference order.  Results are
+            byte-identical under any map — Phase 1 merges exactly under
+            any partition.
         remote_phase3: Run Phase 3's grouped searches on the nodes.
             Refinement plans its searches once
             (:func:`~repro.core.refinement.plan_phase3`); the
@@ -180,8 +169,10 @@ class NeatCoordinator:
             raise ValueError("nodes must be non-empty when given")
         if not 0.0 <= min_quorum <= 1.0:
             raise ValueError(f"min_quorum must be in [0, 1], got {min_quorum}")
-        self.network = network
-        self.config = config if config is not None else NEATConfig()
+        super().__init__(
+            network, config,
+            telemetry=telemetry if telemetry is not None else Telemetry.disabled(),
+        )
         if nodes is None:
             faults = FaultInjector()
             nodes = [
@@ -192,8 +183,12 @@ class NeatCoordinator:
                 for i in range(node_count)
             ]
         self.nodes = list(nodes)
-        self.shardmap = shardmap
-        self.engine = ShortestPathEngine(network, directed=False)
+        if len({node.node_id for node in self.nodes}) != len(self.nodes):
+            raise ValueError("node ids must be unique")
+        self.shardmap = (
+            shardmap if shardmap is not None
+            else RegionShardMap(network, [node.node_id for node in self.nodes])
+        )
         self.retry_policy = (
             retry_policy
             if retry_policy is not None
@@ -202,7 +197,6 @@ class NeatCoordinator:
                 base_delay_s=0.0, jitter=0.0,
             )
         )
-        self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.redispatch = redispatch
         self.min_quorum = min_quorum
         self.remote_phase3 = remote_phase3
@@ -222,22 +216,17 @@ class NeatCoordinator:
         Each node contributes its client's address; ring membership
         reflects any rebalances performed so far.
         """
-        in_ring = (
-            set(self.shardmap.ring.node_ids)
-            if self.shardmap is not None else None
-        )
-        rows = []
-        for node in self.nodes:
-            rows.append({
+        in_ring = set(self.shardmap.ring.node_ids)
+        return [
+            {
                 "node": node.node_id,
                 "healthy": bool(node.healthy),
                 "trajectories": len(node.trajectories),
                 "address": node.client.address,
-                "in_ring": (
-                    node.node_id in in_ring if in_ring is not None else None
-                ),
-            })
-        return rows
+                "in_ring": node.node_id in in_ring,
+            }
+            for node in self.nodes
+        ]
 
     def run(self, trajectories: Sequence[Trajectory], mode: str = "opt") -> NEATResult:
         """Distribute, preprocess on nodes, merge, finish centrally.
@@ -248,24 +237,27 @@ class NeatCoordinator:
         over the *surviving* shards, reporting the rest in
         ``result.dropped_shards``.
         """
-        if mode not in ("base", "flow", "opt"):
-            raise ValueError(f"unknown mode {mode!r}")
+        return super().run(trajectories, mode)
+
+    def _base_clusters(
+        self, trajectory_list: list[Trajectory], result: NEATResult, metrics
+    ) -> list[BaseCluster]:
+        """Phase 1 on the data nodes: shard, preprocess, merge.
+
+        Failed shards are re-dispatched or reported in
+        ``result.dropped_shards``; too few survivors raise
+        :class:`~repro.errors.QuorumLost`.
+        """
         for node in self.nodes:
             node.trajectories.clear()
-        if self.shardmap is not None:
-            by_node = self.shardmap.shard(trajectories)
-            shards = [
-                by_node.get(node.node_id, []) for node in self.nodes
-            ]
-        else:
-            shards = shard_round_robin(trajectories, len(self.nodes))
+        by_node = self.shardmap.shard(trajectory_list)
         # Surplus nodes get empty shards; an empty shard is never
         # dispatched (the regression this guards: empty shards used to be
         # preprocessed, producing empty partials on every surplus node).
         assignments = [
-            (index, node, shard)
-            for index, (node, shard) in enumerate(zip(self.nodes, shards))
-            if shard
+            (index, node, by_node[node.node_id])
+            for index, node in enumerate(self.nodes)
+            if by_node.get(node.node_id)
         ]
         for _, node, shard in assignments:
             node.ingest(shard)
@@ -300,32 +292,13 @@ class NeatCoordinator:
                 "Segments whose fragments arrived from multiple shards in "
                 "the last merge", len(boundary_sids(partials)),
             )
-        result = NEATResult(mode=mode, timings=PhaseTimings())
         result.dropped_shards = dropped
-        result.base_clusters = merge_base_clusters(
-            partials, trajectory_order=[tr.trid for tr in trajectories]
+        return merge_base_clusters(
+            partials, trajectory_order=[tr.trid for tr in trajectory_list]
         )
-        if mode == "base":
-            return result
 
-        formation = form_flow_clusters(
-            self.network, result.base_clusters, self.config
-        )
-        result.flows = formation.flows
-        result.noise_flows = formation.noise_flows
-        result.min_card_used = formation.min_card_used
-        if mode == "flow":
-            return result
-
-        stats = RefinementStats()
-        result.clusters = refine_flow_clusters(
-            self.network, result.flows, self.config,
-            engine=self.engine, stats=stats,
-            metrics=self.telemetry.metrics if self.telemetry.enabled else None,
-            executor=self._remote_search if self.remote_phase3 else None,
-        )
-        result.refinement_stats = stats
-        return result
+    def _phase3_executor(self) -> Callable | None:
+        return self._remote_search if self.remote_phase3 else None
 
     # ------------------------------------------------------------------
     def _gather_partials(
@@ -463,9 +436,7 @@ class NeatCoordinator:
             )
         except (RetriesExhausted, NodeDown) as error:
             node.kill()
-            if self.shardmap is not None and self.shardmap.remove_node(
-                node.node_id
-            ):
+            if self.shardmap.remove_node(node.node_id):
                 # Deterministic ring rebalance: only regions the dead
                 # node owned move, each to its ring successor.
                 self._inc(
@@ -490,23 +461,19 @@ class NeatCoordinator:
     ) -> bool:
         """Re-run a failed shard on surviving nodes; True when recovered.
 
-        With a shard map, candidates are tried in the ring's preference
-        order for the shard's region — the failover target is the node a
-        real rebalance would hand the region to.  Without one, nodes are
-        tried in id order.
+        Candidates are tried in the ring's preference order for the
+        shard's region — the failover target is the node a real
+        rebalance would hand the region to.
         """
-        candidates = self.nodes
-        if self.shardmap is not None:
-            rank = {
-                node_id: position
-                for position, node_id in enumerate(
-                    self.shardmap.redispatch_order(shard)
-                )
-            }
-            candidates = sorted(
-                self.nodes,
-                key=lambda n: rank.get(n.node_id, len(rank)),
+        rank = {
+            node_id: position
+            for position, node_id in enumerate(
+                self.shardmap.redispatch_order(shard)
             )
+        }
+        candidates = sorted(
+            self.nodes, key=lambda n: rank.get(n.node_id, len(rank))
+        )
         for node in candidates:
             if not node.healthy:
                 continue

@@ -13,7 +13,6 @@ from repro.distributed import (
     RemoteDataNode,
     ShardNode,
     merge_base_clusters,
-    shard_round_robin,
 )
 from repro.obs import Telemetry
 from repro.resilience import FaultPlan
@@ -21,28 +20,11 @@ from repro.resilience import FaultPlan
 from conftest import recipe_input, trajectory_through, wire_document
 
 
-class TestSharding:
-    def test_round_robin_balances(self, line3):
-        trs = [trajectory_through(line3, i, [0]) for i in range(10)]
-        shards = shard_round_robin(trs, 3)
-        assert [len(s) for s in shards] == [4, 3, 3]
-
-    def test_all_trajectories_assigned_once(self, line3):
-        trs = [trajectory_through(line3, i, [0]) for i in range(7)]
-        shards = shard_round_robin(trs, 2)
-        flattened = [tr.trid for shard in shards for tr in shard]
-        assert sorted(flattened) == list(range(7))
-
-    def test_rejects_zero_shards(self, line3):
-        with pytest.raises(ValueError):
-            shard_round_robin([], 0)
-
-
 class TestMerge:
     def test_merge_equals_centralized(self, small_workload):
         network, dataset = small_workload
         trajectories = list(dataset)
-        shards = shard_round_robin(trajectories, 4)
+        shards = [trajectories[i::4] for i in range(4)]
         partials = [form_base_clusters(network, shard) for shard in shards]
         merged = merge_base_clusters(partials)
         central = form_base_clusters(network, trajectories)
@@ -54,7 +36,8 @@ class TestMerge:
 
     def test_merge_is_order_independent(self, small_workload):
         network, dataset = small_workload
-        shards = shard_round_robin(list(dataset), 3)
+        trajectories = list(dataset)
+        shards = [trajectories[i::3] for i in range(3)]
         partials = [form_base_clusters(network, shard) for shard in shards]
         forward = merge_base_clusters(partials)
         backward = merge_base_clusters(list(reversed(partials)))
@@ -123,13 +106,18 @@ class TestCoordinator:
             NeatCoordinator(line3, min_quorum=1.5)
 
     def test_more_nodes_than_trajectories(self, line3):
-        # Regression: with node_count > len(trajectories), round-robin
-        # produces empty surplus shards; those must be skipped, not
+        # Regression: with node_count > len(trajectories), the shard map
+        # leaves surplus shards empty; those must be skipped, not
         # dispatched (they used to be preprocessed as empty work units).
         trs = [trajectory_through(line3, i, [0, 1, 2]) for i in range(3)]
         config = NEATConfig(min_card=0, eps=500.0)
         central = NEAT(line3, config).run_opt(trs)
         coordinator = NeatCoordinator(line3, config, node_count=5)
+        placement = {
+            node_id: len(shard)
+            for node_id, shard in coordinator.shardmap.shard(trs).items()
+        }
+        assert 0 in placement.values()
         distributed = coordinator.run(trs, mode="opt")
         assert [f.sids for f in distributed.flows] == [
             f.sids for f in central.flows
@@ -138,8 +126,21 @@ class TestCoordinator:
         # Surplus nodes got no shard and stay healthy and idle.
         assert coordinator.node_health() == {i: True for i in range(5)}
         assert [len(node.trajectories) for node in coordinator.nodes] == [
-            1, 1, 1, 0, 0
+            placement[i] for i in range(5)
         ]
+        served = [
+            node.client.node.stats()["trajectories_processed"]
+            for node in coordinator.nodes
+        ]
+        assert served == [placement[i] for i in range(5)]
+
+    def test_rejects_duplicate_node_ids(self, line3):
+        nodes = [
+            RemoteDataNode(0, InProcessClient(ShardNode(line3)))
+            for _ in range(2)
+        ]
+        with pytest.raises(ValueError):
+            NeatCoordinator(line3, nodes=nodes)
 
     def test_empty_input_with_many_nodes(self, line3):
         result = NeatCoordinator(
@@ -251,6 +252,64 @@ class TestInProcessPhase3:
             )
             assert self.counters(result, coordinator.engine) == expected
             assert self.shard_groups(coordinator) == searches
+
+
+class TestCoordinatorTelemetry:
+    """A coordinator run reports like a serial run: phase timings, the
+    run's spans and every Phase 2-3 and search counter.  ``neat.phase1.*``
+    is counted on the data nodes, not here."""
+
+    SEARCH_COUNTERS = (
+        "roadnet.sp.computations",
+        "roadnet.sp.nodes_expanded",
+        "roadnet.sp.grouped_searches",
+    )
+
+    @classmethod
+    def compared(cls, counters):
+        return {
+            name: value for name, value in counters.items()
+            if name.startswith(("neat.phase2.", "neat.phase3."))
+            or name in cls.SEARCH_COUNTERS
+        }
+
+    @pytest.mark.parametrize("remote_phase3", [False, True])
+    @pytest.mark.parametrize("node_count", [1, 2, 4])
+    def test_reports_like_serial(self, small_workload, node_count, remote_phase3):
+        network, dataset = small_workload
+        trajectories = list(dataset)
+        config = NEATConfig(eps=6500.0)
+        serial = NEAT(network, config).run(trajectories)
+        result = NeatCoordinator(
+            network, config, node_count=node_count,
+            telemetry=Telemetry.create(), remote_phase3=remote_phase3,
+        ).run(trajectories)
+
+        timings = result.timings
+        assert timings.base > 0.0 and timings.flow > 0.0 and timings.refine > 0.0
+        (root,) = result.telemetry["trace"]
+        assert root["name"] == "neat.run"
+        assert [child["name"] for child in root["children"]] == [
+            "phase1.fragmentation", "phase2.flow_formation", "phase3.refinement",
+        ]
+        expected = self.compared(serial.telemetry["metrics"]["counters"])
+        assert set(self.SEARCH_COUNTERS) <= set(expected)
+        assert any(name.startswith("neat.phase2.") for name in expected)
+        counters = result.telemetry["metrics"]["counters"]
+        assert self.compared(counters) == expected
+        assert not any(name.startswith("neat.phase1.") for name in counters)
+
+    def test_flow_mode_stops_after_phase2(self, small_workload):
+        network, dataset = small_workload
+        result = NeatCoordinator(
+            network, NEATConfig(eps=500.0), node_count=2,
+            telemetry=Telemetry.create(),
+        ).run(list(dataset), mode="flow")
+        assert result.timings.flow > 0.0 and result.timings.refine == 0.0
+        (root,) = result.telemetry["trace"]
+        assert [child["name"] for child in root["children"]] == [
+            "phase1.fragmentation", "phase2.flow_formation",
+        ]
 
 
 class TestAltEngineIntegration:

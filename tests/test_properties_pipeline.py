@@ -62,18 +62,23 @@ class TestPipelineProperties:
         report = validate_result(result, network)
         assert report.ok, report.errors
 
-    @given(workloads(), st.integers(min_value=1, max_value=5))
+    @given(
+        workloads(),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from(["region", "trid"]),
+    )
     @settings(max_examples=10, deadline=None)
     def test_distributed_is_valid_and_matches_centralized(
-        self, workload, node_count
+        self, workload, node_count, route
     ):
-        from repro.distributed import NeatCoordinator
+        from repro.distributed import NeatCoordinator, RegionShardMap
 
         network, dataset = workload
         config = NEATConfig(min_card=0, eps=400.0)
-        distributed = NeatCoordinator(network, config, node_count).run(
-            list(dataset)
-        )
+        shardmap = RegionShardMap(network, range(node_count), route=route)
+        distributed = NeatCoordinator(
+            network, config, node_count, shardmap=shardmap
+        ).run(list(dataset))
         assert validate_result(distributed, network).ok
         central = NEAT(network, config).run_opt(dataset)
         assert [f.sids for f in distributed.flows] == [

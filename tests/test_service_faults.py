@@ -83,12 +83,15 @@ class TestCoordinatorFaults:
             network, config, node_count=4,
             retry_policy=NO_BACKOFF, telemetry=telemetry, redispatch=False,
         )
+        placement = coordinator.shardmap.shard(trajectories)
+        assert placement[0]
         arm(coordinator.nodes[0], FaultPlan(fail_nth=1))
 
         result = coordinator.run(trajectories, mode="opt")
 
         assert result.dropped_shards == [0]
-        survivors = [t for i, t in enumerate(trajectories) if i % 4 != 0]
+        lost = {t.trid for t in placement[0]}
+        survivors = [t for t in trajectories if t.trid not in lost]
         central = NEAT(network, config).run_opt(survivors)
         assert [f.sids for f in result.flows] == [f.sids for f in central.flows]
         assert [
@@ -158,11 +161,17 @@ class TestCoordinatorFaults:
             line3, NEATConfig(min_card=0), node_count=2,
             retry_policy=NO_BACKOFF,
         )
+        placement = coordinator.shardmap.shard(trajectories)
+        dispatched = [
+            index for index, node in enumerate(coordinator.nodes)
+            if placement[node.node_id]
+        ]
+        assert dispatched
         for node in coordinator.nodes:
             arm(node, FaultPlan(kill_from=1))
         result = coordinator.run(trajectories, mode="base")
         assert result.base_clusters == []
-        assert result.dropped_shards == [0, 1]
+        assert result.dropped_shards == dispatched
 
     def test_dead_node_raises_node_down_directly(self, line3):
         coordinator = NeatCoordinator(line3, node_count=2)
