@@ -1,17 +1,23 @@
 """Micro-benchmarks of the building blocks behind the paper's numbers.
 
 Not a table/figure per se, but the component costs the paper's analysis
-reasons about: point scanning (Phase 1's bottleneck), netflow evaluation,
-shortest-path search (Phase 3's unit cost vs the O(1) Euclidean check),
+reasons about: point scanning (Phase 1's bottleneck), netflow evaluation
+and flow growth, shortest-path search (Phase 3's unit cost vs the O(1) Euclidean check),
 and the TraClus segment distance that its grouping pays O(n^2) times.
 """
 
 from __future__ import annotations
 
+import random
+
 from repro.core.base_cluster import form_base_clusters, netflow
+from repro.core.config import NEATConfig
+from repro.core.flow_formation import form_flow_clusters
 from repro.core.fragmentation import fragment_all
+from repro.core.model import Location, Trajectory
 from repro.core.refinement import flow_distance
 from repro.experiments.workloads import WorkloadSpec, build_dataset, build_network
+from repro.roadnet.builder import line_network
 from repro.roadnet.geometry import Point
 from repro.roadnet.shortest_path import ShortestPathEngine
 from repro.traclus.distance import segment_distance
@@ -46,6 +52,38 @@ def bench_netflow(benchmark):
     clusters = form_base_clusters(network, dataset.trajectories)
     a, b = clusters[0], clusters[1]
     benchmark(lambda: netflow(a, b))
+
+
+def _long_flow_input():
+    """A 160-segment line crossed by 300 long trips, as base clusters.
+
+    Every trip enters within the first 40 segments and leaves within the
+    last 40, so Phase 2 grows one flow of 160 members, each shared by
+    most of the 300 trips.
+    """
+    network = line_network(160)
+    rng = random.Random(7)
+    trajectories = []
+    for trid in range(300):
+        sids = range(rng.randrange(0, 40), rng.randrange(120, 160) + 1)
+        trajectories.append(Trajectory(trid, tuple(
+            Location(sid, 100.0 * sid + 50.0, 0.0, 10.0 * step)
+            for step, sid in enumerate(sids)
+        )))
+    return network, form_base_clusters(network, trajectories)
+
+
+def bench_flow_formation(benchmark):
+    """Phase 2 growing one 160-member flow.
+
+    Each step reads the netflow between the growing flow and each
+    candidate, so a flow whose participant set is rebuilt from its
+    members on every read makes this quadratic in the flow's length.
+    """
+    network, clusters = _long_flow_input()
+    config = NEATConfig(min_card=0)
+    result = benchmark(lambda: form_flow_clusters(network, clusters, config))
+    assert max(len(flow) for flow in result.all_flows) >= 100
 
 
 def bench_dijkstra_node_pair(benchmark):

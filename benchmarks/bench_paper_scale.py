@@ -6,12 +6,15 @@ paper's eps = 6500 m — to confirm the implementation handles Table II's
 magnitudes, not just the scaled bench workloads.  Skipped by default:
 trace generation alone takes about half a minute.
 
-Reference measurement (2-CPU x86-64 host, CPython 3.11.7, 2026-10-20;
+Reference measurement (2-CPU x86-64 host, CPython 3.11.7, 2026-10-21;
 four cold runs, one process each, medians with the range): opt-NEAT
-5.35 s total (4.99-5.95 s): Phase 1 1.88 s (1.72-2.51), Phase 2
-1.81 s (1.72-1.91), Phase 3 1.61 s (1.53-1.66, with ELB); 15 flows,
+4.34 s total (4.14-4.79 s): Phase 1 1.55 s (1.51-2.08), Phase 2
+1.09 s (1.02-1.20), Phase 3 1.60 s (1.56-1.77, with ELB); 15 flows,
 3 clusters — an order of magnitude below the paper's 59.7 s for
-ATL5000 on 2008-era Java.
+ATL5000 on 2008-era Java.  Phase 2's own work is about 0.1 s of its
+1.09 s: the rest is a ~1 s generation-1 collection that Phase 1's
+allocations set off, which lands in Phase 2 or Phase 3 depending on
+the process's allocation history.
 
 Run with ``REPRO_PAPER_SCALE=1 python -m pytest
 benchmarks/bench_paper_scale.py``.

@@ -52,7 +52,7 @@ class BaseCluster:
     def participants(self) -> frozenset[int]:
         """``PTr(S)``: ids of the participating trajectories (Definition 3)."""
         if self._participants is None:
-            self._participants = frozenset(f.trid for f in self.fragments)
+            self._participants = frozenset([f.trid for f in self.fragments])
         return self._participants
 
     @property
@@ -66,12 +66,7 @@ class BaseCluster:
 
 def netflow(a: BaseCluster, b: BaseCluster) -> int:
     """``f(S_i, S_j)``: trajectories participating in both (Definition 5)."""
-    smaller, larger = (
-        (a.participants, b.participants)
-        if len(a.participants) <= len(b.participants)
-        else (b.participants, a.participants)
-    )
-    return sum(1 for trid in smaller if trid in larger)
+    return len(a.participants & b.participants)
 
 
 def group_fragments(fragments: Iterable[TFragment]) -> list[BaseCluster]:
@@ -79,16 +74,18 @@ def group_fragments(fragments: Iterable[TFragment]) -> list[BaseCluster]:
 
     Returns the clusters sorted by descending density, ties broken by
     ascending sid so Phase 2's merge order is deterministic (Section
-    III-B1).  The first element is the dense-core.
+    III-B1).  The first element is the dense-core.  Each cluster is built
+    once from its segment's fragment list, in input order.
     """
-    by_sid: dict[int, BaseCluster] = {}
+    by_sid: dict[int, list[TFragment]] = {}
     for fragment in fragments:
-        cluster = by_sid.get(fragment.sid)
-        if cluster is None:
-            cluster = BaseCluster(fragment.sid)
-            by_sid[fragment.sid] = cluster
-        cluster.add(fragment)
-    return sorted(by_sid.values(), key=lambda s: (-s.density, s.sid))
+        members = by_sid.get(fragment.sid)
+        if members is None:
+            by_sid[fragment.sid] = [fragment]
+        else:
+            members.append(fragment)
+    order = sorted(by_sid, key=lambda sid: (-len(by_sid[sid]), sid))
+    return [BaseCluster(sid, by_sid[sid]) for sid in order]
 
 
 @gc_paused

@@ -33,6 +33,9 @@ class FlowCluster:
         self.front_node: int = segment.node_u
         #: Junction at which the flow can grow by appending.
         self.end_node: int = segment.node_v
+        # ``PTr(F)``, grown in place by each append/prepend, so Phase 2's
+        # netflow with the flow is one set intersection (Definition 5).
+        self._trids: set[int] = set(seed.participants)
         # Memoized views, reset whenever the member list changes.
         self._participants: frozenset[int] | None = None
         self._sids: tuple[int, ...] | None = None
@@ -80,7 +83,7 @@ class FlowCluster:
             )
         self._members.append(cluster)
         self.end_node = segment.other_endpoint(self.end_node)
-        self._forget_views()
+        self._grown_by(cluster)
 
     def prepend(self, cluster: BaseCluster) -> None:
         """Extend the flow at its front junction with ``cluster``."""
@@ -92,9 +95,10 @@ class FlowCluster:
             )
         self._members.insert(0, cluster)
         self.front_node = segment.other_endpoint(self.front_node)
-        self._forget_views()
+        self._grown_by(cluster)
 
-    def _forget_views(self) -> None:
+    def _grown_by(self, cluster: BaseCluster) -> None:
+        self._trids |= cluster.participants
         self._participants = None
         self._sids = None
         self._route_length = None
@@ -146,16 +150,13 @@ class FlowCluster:
     def participants(self) -> frozenset[int]:
         """``PTr(F)``: union of member participant sets."""
         if self._participants is None:
-            union: set[int] = set()
-            for member in self._members:
-                union.update(member.participants)
-            self._participants = frozenset(union)
+            self._participants = frozenset(self._trids)
         return self._participants
 
     @property
     def trajectory_cardinality(self) -> int:
         """``|PTr(F)|``: distinct trajectories passing through the flow."""
-        return len(self.participants)
+        return len(self._trids)
 
     @property
     def density(self) -> int:
@@ -164,7 +165,7 @@ class FlowCluster:
 
     def netflow_with(self, cluster: BaseCluster) -> int:
         """``f(F, S)``: trajectories shared between this flow and ``S``."""
-        return sum(1 for trid in cluster.participants if trid in self.participants)
+        return len(self._trids & cluster.participants)
 
     def __len__(self) -> int:
         return len(self._members)

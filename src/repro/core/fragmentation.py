@@ -46,8 +46,10 @@ def fragment_trajectory(
     Raises:
         UnknownSegmentError: for the first sample on a segment the network
             does not have.  Only the first sample is looked up here: a
-            later sample either repeats its predecessor's segment or is
-            looked up by :func:`~repro.mapmatch.path_inference.crossing_row`.
+            later sample either repeats its predecessor's segment, or its
+            segment pair with the predecessor is already in the network's
+            crossing table, or it is looked up by
+            :func:`~repro.mapmatch.path_inference.crossing_row`.
         NoPathError: when two consecutive samples' segments are not
             connected.
 
@@ -62,6 +64,10 @@ def fragment_trajectory(
     if not network.has_segment(sid):
         raise UnknownSegmentError(sid)
     node_point = network.node_point
+    # A table hit is read in place; a miss (or a cached no-path ``None``)
+    # goes through ``crossing_row``, which infers, counts and raises.
+    table = network.crossing_table()
+    entries = table.entries
     fragments: list[TFragment] = []
     append = fragments.append
     # Index of the open fragment's first original sample after ``opened``.
@@ -69,7 +75,11 @@ def fragment_trajectory(
     for i, nxt in enumerate(locations):
         if nxt.sid == sid:
             continue
-        row = crossing_row(network, sid, nxt.sid)
+        row = entries.get((sid, nxt.sid))
+        if row is None:
+            row = crossing_row(network, sid, nxt.sid)
+        else:
+            table.lookups += 1
         count = len(row) // 2
         t0 = locations[i - 1].t
         dt = nxt.t - t0

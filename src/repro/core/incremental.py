@@ -735,7 +735,10 @@ class IncrementalNEAT:
         # noise flows and fragments behind it must be ones a run makes.
         errors = validate_result(
             self.snapshot_result(), self.network, allow_shared_segments=True
-        ).errors + _state_errors(result, self._seen_trids, self.network)
+        ).errors + _state_errors(
+            result, self._seen_trids, self.network,
+            self.config.keep_interior_points,
+        )
         if errors:
             raise CorruptSnapshot(source, errors[0])
         # Accept only documents this class writes: kept in the document's
@@ -761,15 +764,20 @@ def _density_key(cluster: BaseCluster) -> tuple[int, int]:
 
 
 def _state_errors(
-    result: NEATResult, seen_trids: set[int], network: RoadNetwork
+    result: NEATResult,
+    seen_trids: set[int],
+    network: RoadNetwork,
+    keep_interior_points: bool,
 ) -> list[str]:
     """What no state this class writes can hold, beyond the served view.
 
-    Every fragment spans two locations at least and comes from a seen
-    trajectory, every junction location sits on its junction, each
-    trajectory's fragments chain (see :func:`_chain_problem`), and the
-    kept and noise flows partition the base clusters themselves, not
-    just their segments (each batch keeps its own).
+    Every fragment spans two locations at least (exactly its two boundary
+    points unless interior points are kept, so a repeated raw sample is
+    refused there) and comes from a seen trajectory, every junction
+    location sits on its junction, each trajectory's fragments chain (see
+    :func:`_chain_problem`), and the kept and noise flows partition the
+    base clusters themselves, not just their segments (each batch keeps
+    its own).
     """
     errors = []
     by_trid: dict[int, list[TFragment]] = {}
@@ -778,6 +786,11 @@ def _state_errors(
             where = f"fragment of trajectory {fragment.trid} on segment {cluster.sid}"
             if len(fragment.locations) < 2:
                 errors.append(f"{where} has fewer than 2 locations")
+            elif len(fragment.locations) > 2 and not keep_interior_points:
+                errors.append(
+                    f"{where} has {len(fragment.locations)} locations, "
+                    "not its 2 boundary points"
+                )
             if fragment.trid not in seen_trids:
                 errors.append(f"{where} is from an unseen trajectory")
             for location in fragment.locations:

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.base_cluster import form_base_clusters
+from repro.core.fragmentation import fragment_trajectory
+from repro.core.model import Location, Trajectory
 from repro.errors import NoPathError
 from repro.mapmatch.path_inference import Crossing, infer_crossings
 from repro.obs.metrics import MetricsRegistry
 from repro.roadnet.geometry import Point
 from repro.roadnet.network import RoadNetwork
 
+import reference_phase1
 from conftest import trajectory_through
 from reference_sp import shortest_route as reference_route
 from test_properties_routing import multigraphs
@@ -171,3 +174,50 @@ class TestPhase1Counters:
         )
         assert metrics.value("neat.phase1.crossing_searches") == 4.0
         assert metrics.value("neat.phase1.crossing_lookups") == 1.0
+
+
+def two_components() -> RoadNetwork:
+    """Segments 0-1-2 in a row, and segment 3 on its own, 5 km away."""
+    network = RoadNetwork("two-components")
+    for x, y in ((0, 0), (100, 0), (200, 0), (300, 0), (0, 5000), (100, 5000)):
+        network.add_junction(Point(float(x), float(y)))
+    for u, v in ((0, 1), (1, 2), (2, 3), (4, 5)):
+        network.add_segment(u, v)
+    return network
+
+
+def trip(trid: int, sids: list[int]) -> Trajectory:
+    return Trajectory(trid, tuple(
+        Location(sid, 50.0 + 100.0 * sid, 0.0, 10.0 * i)
+        for i, sid in enumerate(sids)
+    ))
+
+
+class TestFragmenterHitPath:
+    """Phase 1 reads table hits in place; misses and no-path entries go
+    through ``crossing_row``, so errors and counters are the reference's."""
+
+    def test_cached_no_path_pair_raises_again(self):
+        network = two_components()
+        for trid in range(2):  # the second trajectory hits the cached None
+            with pytest.raises(NoPathError):
+                fragment_trajectory(network, trip(trid, [1, 3]))
+        table = network.crossing_table()
+        assert table.entries == {(1, 3): None}
+        assert (table.searches, table.lookups) == (4, 2)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_counters_match_reference_when_a_trajectory_raises(self, warm):
+        # 0 -> 2 (4 searches cold) is a hit on the warm table; then
+        # 2 -> 3 raises part-way, before the trajectory's last sample.
+        deltas = []
+        for fragment in (fragment_trajectory, reference_phase1.fragment_trajectory):
+            network = two_components()
+            if warm:
+                fragment(network, trip(0, [0, 2]))
+            table = network.crossing_table()
+            before = (table.searches, table.lookups)
+            with pytest.raises(NoPathError):
+                fragment(network, trip(1, [0, 0, 2, 3, 2]))
+            deltas.append((table.searches - before[0], table.lookups - before[1]))
+        assert deltas[0] == deltas[1] == [(8, 2), (4, 2)][warm]

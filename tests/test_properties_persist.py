@@ -368,13 +368,17 @@ class TestSnapshotDecoderRegressions:
     @pytest.mark.parametrize("edit, message", [
         (lambda result: _fragment(result)["locations"].pop(),
          "fewer than 2 locations"),
+        (lambda result: _fragment(result)["locations"].insert(
+            0, _fragment(result)["locations"][0]),
+         "3 locations, not its 2 boundary points"),
         (lambda result: [row.__setitem__(0, 3) for row in _fragment(result)["locations"]],
          "fragment on segment 3"),
         (lambda result: _fragment(result).update(trid=99),
          "unseen trajectory"),
         (lambda result: result["noise_flows"].append(result["noise_flows"][0]),
          "do not partition the base clusters"),
-    ], ids=["one-location", "sid-mismatch", "unseen-trid", "no-partition"])
+    ], ids=["one-location", "repeated-sample", "sid-mismatch", "unseen-trid",
+            "no-partition"])
     def test_location_level_corruption(self, state_template, tmp_path, edit, message):
         network, template = state_template
         shutil.copytree(template, tmp_path / "state")
@@ -426,6 +430,22 @@ class TestSnapshotDecoderRegressions:
         assert expected["result"]["base_clusters"][0]["sid"] != sids[0]
         recovered = IncrementalNEAT.recover(tmp_path, network, config, fsync=False)
         assert json.loads(encode_state_payload(recovered._state_document())) == expected
+
+    def test_interior_points_state_recovers_only_under_its_config(self, tmp_path):
+        """Kept interior samples recover; read as boundary-only, refused."""
+        network = grid3x3_network()
+        config = NEATConfig(min_card=0, keep_interior_points=True)
+        clusterer = IncrementalNEAT(network, config)
+        clusterer.enable_persistence(tmp_path, fsync=False)
+        clusterer.add_batch([trajectory_through(network, 0, [0, 2, 4])])
+        clusterer.checkpoint()
+        expected = json.loads(encode_state_payload(clusterer._state_document()))
+        assert len(_fragment(expected["result"])["locations"]) > 2
+        recovered = IncrementalNEAT.recover(tmp_path, network, config, fsync=False)
+        assert json.loads(encode_state_payload(recovered._state_document())) == expected
+        boundary_only = dataclasses.replace(config, keep_interior_points=False)
+        with pytest.raises(CorruptSnapshot, match="not its 2 boundary points"):
+            IncrementalNEAT.recover(tmp_path, network, boundary_only, fsync=False)
 
     @pytest.mark.parametrize("recipe, batches", [
         ("DENSE", 2), ("SPREAD", 2), ("STREAM", 80),
